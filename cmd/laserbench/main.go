@@ -4,7 +4,7 @@
 // Usage:
 //
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
-//	           [-ascale N] [-pscale N] [-runs N] [-intra N] [-segjit]
+//	           [-ascale N] [-pscale N] [-runs N] [-intra N]
 //	           [-speculative-repair=true|false]
 //	           [-cache DIR] [-shard I/N] [-shard-partition cost|hash]
 //	           [-cache-gc AGE] [-cache-gc-bytes N]
@@ -19,12 +19,10 @@
 // (1 = fully serial). When a phase has fewer runnable simulations than
 // host workers, the leftovers move inside each simulated machine via
 // the intra-run parallel engine; -intra (or LASER_BENCH_INTRA)
-// overrides the split. -segjit (or LASER_BENCH_SEGJIT) additionally
-// compiles provably-private instruction segments inside each simulated
-// machine (the segment JIT); an explicit flag wins over the
-// environment. The rendered output is byte-identical at any
-// parallelism and with the segment compiler on or off — only wall time
-// changes.
+// overrides the split. The rendered output is byte-identical at any
+// parallelism — only wall time changes. -exp takes a comma-separated
+// list of experiment or artifact names, "all" or "none"; any other
+// entry is an error.
 //
 // -cache DIR attaches a persistent run cache: every simulation result
 // is content-addressed by (workload, scale, variant, tool, SAV, seed,
@@ -78,6 +76,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -93,7 +92,6 @@ func main() {
 	runs := flag.Int("runs", 3, "runs per performance data point")
 	specRepair := flag.Bool("speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
 	intra := flag.Int("intra", 0, "intra-run engine workers per simulation (0 = automatic split)")
-	segjit := flag.Bool("segjit", false, "compile provably-private instruction segments inside each simulation (default $LASER_BENCH_SEGJIT)")
 	faultPlan := flag.String("fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
 	unitRetries := flag.Int("unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
 	unitDeadlineFloor := flag.Duration("unit-deadline-floor", 0, "minimum per-unit deadline (0 = default 30s)")
@@ -126,17 +124,13 @@ func main() {
 		os.Exit(1)
 	}
 
+	want, err := parseExp(*exp)
+	if err != nil {
+		fail(err)
+	}
 	if *intra > 0 {
 		os.Setenv("LASER_BENCH_INTRA", fmt.Sprint(*intra))
 	}
-	// An explicit -segjit (either value) overrides LASER_BENCH_SEGJIT;
-	// when the flag is absent the environment decides, so CI can force
-	// the toggle without editing command lines.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "segjit" {
-			os.Setenv("LASER_BENCH_SEGJIT", fmt.Sprint(*segjit))
-		}
-	})
 	planSpec := *faultPlan
 	if planSpec == "" {
 		planSpec = os.Getenv("LASER_FAULT_PLAN")
@@ -195,10 +189,6 @@ func main() {
 
 	cfg := experiments.Config{AccuracyScale: *ascale, PerfScale: *pscale, Runs: *runs, SpeculativeRepair: *specRepair}
 	bench := experiments.NewBenchReport(cfg)
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
 	all := want["all"]
 	wantFn := func(e string) bool { return all || want[e] }
 
@@ -265,15 +255,6 @@ func main() {
 			*ascale, workers); err != nil {
 			fail(err)
 		}
-		// The segment-compiler microbenchmark: interpreted vs compiled
-		// ns/instr on a register-heavy workload (swaptions, the compiler's
-		// home turf) and a contended one (histogram, mostly fallback).
-		// Serial workers — the serial scheduler is where the compiled
-		// swaptions speedup is guarded in CI.
-		if err := bench.MeasureSegJIT([]string{"swaptions", "histogram"},
-			*ascale, 1); err != nil {
-			fail(err)
-		}
 		if err := bench.WriteFile(*jsonPath); err != nil {
 			fail(err)
 		}
@@ -300,4 +281,32 @@ func main() {
 	if !sum.Empty() {
 		fmt.Fprintf(os.Stderr, "laserbench: %s\n", sum)
 	}
+}
+
+// parseExp splits the -exp list and checks every entry against the
+// registered experiments and their artifacts (plus "all" and "none"),
+// so a misspelt name fails the run instead of silently selecting
+// nothing.
+func parseExp(list string) (map[string]bool, error) {
+	known := map[string]bool{"all": true, "none": true}
+	for _, s := range experiments.Specs() {
+		known[s.Name] = true
+		for _, a := range s.Artifacts {
+			known[a] = true
+		}
+	}
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if !known[e] {
+			names := make([]string, 0, len(known))
+			for n := range known {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			return nil, fmt.Errorf("unknown -exp entry %q: want a comma-separated list of %s", e, strings.Join(names, ", "))
+		}
+		want[e] = true
+	}
+	return want, nil
 }

@@ -50,14 +50,9 @@
 // byte-identical to the serial engine at any worker count. See
 // DESIGN.md, "The two execution engines".
 //
-// On top of either engine, the segment compiler (machine.Config.SegmentJIT,
-// laser.WithSegmentJIT) translates maximal provably-private instruction
-// segments into straight-line Go closures with pre-decoded operands and
-// inlined load/store fast paths, falling back to the interpreter at
-// every globally-visible boundary and invalidating wholesale on program
-// hot-swap — again with byte-identical results, with coverage reported
-// in machine.Stats.CompiledInstrs. See DESIGN.md, "The segment
-// compiler".
+// Both engines execute a pre-decoded form of the program, built once per
+// program generation (machine.New and every hot-swap). See DESIGN.md,
+// "The decoded program".
 //
 // The experiment harness in internal/experiments is a registry of
 // declarative experiment specs: each figure enumerates its cacheable

@@ -58,26 +58,6 @@ type BenchIntraRun struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// BenchSegJIT is one segment-compiler measurement: the same native
-// simulation wall-timed with the compiler off (pure interpreter) and on.
-// Both runs are byte-identical in simulated outcome by construction;
-// CompiledPct reports how much of the instruction stream the compiled
-// run actually retired through closures, so a speedup of ~1.0 with a
-// high pct means the compiler broke even, while ~1.0 with a low pct
-// means it never engaged.
-type BenchSegJIT struct {
-	Workload              string  `json:"workload"`
-	Scale                 float64 `json:"scale"`
-	Workers               int     `json:"workers"`
-	Instructions          uint64  `json:"instructions"`
-	InterpretedSeconds    float64 `json:"interpreted_seconds"`
-	CompiledSeconds       float64 `json:"compiled_seconds"`
-	InterpretedNsPerInstr float64 `json:"interpreted_ns_per_instr"`
-	CompiledNsPerInstr    float64 `json:"compiled_ns_per_instr"`
-	CompiledPct           float64 `json:"compiled_instr_pct"`
-	Speedup               float64 `json:"speedup"`
-}
-
 // BenchReport is the top-level -json document.
 type BenchReport struct {
 	GeneratedBy   string          `json:"generated_by"`
@@ -90,7 +70,6 @@ type BenchReport struct {
 	Runs          int             `json:"runs"`
 	Figures       []BenchFigure   `json:"figures"`
 	IntraRun      []BenchIntraRun `json:"intra_run,omitempty"`
-	SegJIT        []BenchSegJIT   `json:"segjit,omitempty"`
 	// Failures is the executor's failure summary: quarantined units and
 	// transient retries. Omitted on a fault-free run.
 	Failures *FailureSummary `json:"failures,omitempty"`
@@ -175,59 +154,6 @@ func (r *BenchReport) MeasureIntraRun(names []string, scale float64, workers int
 			SerialNsPerInstr:   float64(serial.Nanoseconds()) / float64(instr),
 			ParallelNsPerInstr: float64(parallel.Nanoseconds()) / float64(instr),
 			Speedup:            float64(serial) / float64(parallel),
-		})
-	}
-	return nil
-}
-
-// MeasureSegJIT wall-times one native run of each named workload with
-// the segment compiler off and on, at the given worker count. Each mode
-// takes the best of three runs: the guard in CI compares the two
-// numbers, and a single unlucky scheduling of either mode should not
-// flake the build.
-func (r *BenchReport) MeasureSegJIT(names []string, scale float64, workers int) error {
-	const attempts = 3
-	for _, name := range names {
-		w, ok := workload.Get(name)
-		if !ok {
-			continue
-		}
-		run := func(jit bool) (time.Duration, uint64, uint64, error) {
-			best := time.Duration(0)
-			var instr, comp uint64
-			for i := 0; i < attempts; i++ {
-				img := w.Build(workload.Options{Scale: scale})
-				start := time.Now()
-				st, err := laser.RunNativeParallelJIT(img, 4, workers, jit)
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				if d := time.Since(start); i == 0 || d < best {
-					best = d
-				}
-				instr, comp = st.Instructions, st.CompiledInstrs
-			}
-			return best, instr, comp, nil
-		}
-		interp, instr, _, err := run(false)
-		if err != nil {
-			return err
-		}
-		compiled, _, comp, err := run(true)
-		if err != nil {
-			return err
-		}
-		r.SegJIT = append(r.SegJIT, BenchSegJIT{
-			Workload:              name,
-			Scale:                 scale,
-			Workers:               workers,
-			Instructions:          instr,
-			InterpretedSeconds:    interp.Seconds(),
-			CompiledSeconds:       compiled.Seconds(),
-			InterpretedNsPerInstr: float64(interp.Nanoseconds()) / float64(instr),
-			CompiledNsPerInstr:    float64(compiled.Nanoseconds()) / float64(instr),
-			CompiledPct:           100 * float64(comp) / float64(instr),
-			Speedup:               float64(interp) / float64(compiled),
 		})
 	}
 	return nil

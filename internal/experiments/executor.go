@@ -315,11 +315,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		intra := intraRunWorkers(len(phase))
 		fails := make([]*UnitFailure, len(phase))
 		retries := make([]*UnitRetry, len(phase))
-		// Specs run serially, so sampling the process-wide coverage
-		// accumulators around this spec's compute phase attributes every
-		// simulated instruction to the first spec that simulates its unit
-		// (later specs hit the cache and simulate nothing).
-		cc0, ct0 := coverageCounters()
 		forEach(len(phase), func(i int) error {
 			fails[i], retries[i] = x.runUnit(spec.Name, phase[i], intra)
 			return nil
@@ -365,16 +360,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 			res.Rendered = quarantineRendered(spec, res.Failures)
 		} else {
 			res.Rendered = rendered
-		}
-		// Only annotate the metric when the compiler is enabled: with it
-		// off the value is identically zero, and a direct spec.Assemble
-		// (no executor) must render the same document the executor does.
-		if cc1, ct1 := coverageCounters(); segJIT() && ct1 > ct0 {
-			if res.Rendered.Metrics == nil {
-				res.Rendered.Metrics = map[string]float64{}
-			}
-			res.Rendered.Metrics["compiled_instr_pct"] =
-				100 * float64(cc1-cc0) / float64(ct1-ct0)
 		}
 		res.WallSeconds = time.Since(start).Seconds()
 		res.Warm = res.Simulated == 0 && !res.Failed()

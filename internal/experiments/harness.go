@@ -95,39 +95,6 @@ func envPositiveInt(name string, minValue int, fallback string) (int, bool) {
 	return v, true
 }
 
-// envBool reads an environment knob that must hold a boolean
-// (strconv.ParseBool forms: 1/0, t/f, true/false). Unset returns
-// ok=false silently; set-but-malformed returns ok=false but warns once
-// on stderr naming the documented fallback, like envPositiveInt.
-func envBool(name, fallback string) (bool, bool) {
-	s := os.Getenv(name)
-	if s == "" {
-		return false, false
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		if _, dup := envWarned.LoadOrStore(name+"="+s, struct{}{}); !dup {
-			fmt.Fprintf(envWarnWriter,
-				"experiments: ignoring %s=%q: want a boolean (1/0, true/false); falling back to %s\n",
-				name, s, fallback)
-		}
-		return false, false
-	}
-	return v, true
-}
-
-// segJIT reports whether the evaluation's simulated machines should run
-// with the segment compiler (machine.Config.SegmentJIT): the value of
-// LASER_BENCH_SEGJIT when set to a boolean, otherwise off — the
-// interpreter is the reference executor. Malformed values are rejected
-// with a warning and fall back to off. Results are byte-identical
-// either way (the laserbench CI equivalence sweep holds the proof), so
-// like the parallelism knobs it is excluded from run-cache keys.
-func segJIT() bool {
-	v, ok := envBool("LASER_BENCH_SEGJIT", "off (interpreter)")
-	return ok && v
-}
-
 // Parallelism returns the worker count of the experiment pool: the value
 // of LASER_BENCH_PARALLEL when set to a positive integer (1 recovers the
 // fully serial harness), otherwise GOMAXPROCS. Malformed or non-positive
@@ -147,30 +114,6 @@ func Parallelism() int {
 // paper's 4-core Haswell); runLaser/runNative/runVTune/runSheriff all
 // build machines with it.
 const simCores = 4
-
-// Segment-compiler coverage accounting: every run site feeds the stats
-// of each *simulated* (cache-missing) machine here, and the executor
-// samples the counters around each spec's compute phase to report a
-// per-figure compiled_instr_pct in the BENCH json. Zero compiled
-// instructions with the toggle on is the signal the ISSUE's
-// observability requirement exists for: a silent fallback to the
-// interpreter (demoted cores, Sheriff's gate, a hot-swapped program)
-// shows up as a number, not a guess.
-var covCompiled, covTotal atomic.Uint64
-
-// noteCoverage accumulates one simulated run's instruction counts.
-func noteCoverage(st *machine.Stats) {
-	if st == nil {
-		return
-	}
-	covCompiled.Add(st.CompiledInstrs)
-	covTotal.Add(st.Instructions)
-}
-
-// coverageCounters snapshots the process-wide coverage accumulators.
-func coverageCounters() (compiled, total uint64) {
-	return covCompiled.Load(), covTotal.Load()
-}
 
 // cache is the harness's run-result store. Every simulation the
 // evaluation performs is deterministic in its cache key (workload,
@@ -433,8 +376,7 @@ func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float6
 		s, err := laser.Attach(img,
 			laser.WithConfig(cfg),
 			laser.WithPostRepairMonitoring(false),
-			laser.WithIntraRunParallelism(intra),
-			laser.WithSegmentJIT(segJIT()))
+			laser.WithIntraRunParallelism(intra))
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +399,6 @@ func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float6
 		if res.RepairErr != nil {
 			lr.RepairDeclined, lr.RepairErrMsg = true, res.RepairErr.Error()
 		}
-		noteCoverage(res.Stats)
 		return lr, nil
 	})
 }
@@ -487,11 +428,7 @@ func runNative(name string, scale float64, variant workload.Variant, intra int) 
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
 		}
 		img := w.Build(workload.Options{Scale: scale, Variant: variant})
-		st, err := laser.RunNativeParallelJIT(img, simCores, intra, segJIT())
-		if err == nil {
-			noteCoverage(st)
-		}
-		return st, err
+		return laser.RunNativeParallel(img, simCores, intra)
 	})
 }
 
@@ -533,14 +470,12 @@ func runVTune(name string, scale float64, seed int64, intra int) (*vtuneOutcome,
 		m := machine.New(img.Prog, machine.Config{
 			Cores: simCores, Probe: prof, ExtraInstrCycles: ei, ExtraLoadCycles: el,
 			Parallelism: intra, PrivateData: img.PrivateRanges(),
-			SegmentJIT: segJIT(),
 		}, img.Specs)
 		img.Init(m)
 		st, err := m.Run()
 		if err != nil {
 			return nil, err
 		}
-		noteCoverage(st)
 		return &vtuneOutcome{Lines: prof.Report(st.Seconds()), Stats: st, Seconds: st.Seconds()}, nil
 	})
 }
@@ -588,11 +523,6 @@ func runSheriff(name string, scale float64, mode sheriff.Mode, force bool, intra
 			Cores: simCores, PrivateMemory: true, OnCommit: det.OnCommit,
 			MaxCycles:   1 << 38,
 			Parallelism: intra, PrivateData: img.PrivateRanges(),
-			// SegmentJIT deliberately asked for even though the machine
-			// gates it off under PrivateMemory: the compiled_instr_pct
-			// column then shows 0 for Sheriff figures instead of hiding
-			// the fallback.
-			SegmentJIT: segJIT(),
 		}, img.Specs)
 		img.Init(m)
 		st, err := m.Run()
@@ -600,7 +530,6 @@ func runSheriff(name string, scale float64, mode sheriff.Mode, force bool, intra
 			// Runtime error under the Sheriff model: the Table 1 "x".
 			return &sheriffOutcome{Status: sheriff.Crash}, nil
 		}
-		noteCoverage(st)
 		return &sheriffOutcome{Status: sheriff.OK, Findings: det.Findings(), Stats: st}, nil
 	})
 }

@@ -184,33 +184,6 @@ func TestEnvKnobRejection(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		env  string
-		want bool // want from segJIT()
-		warn bool
-	}{
-		{"1", true, false},
-		{"true", true, false},
-		{"0", false, false},
-		{"false", false, false},
-		{"banana", false, true}, // malformed: off, loudly
-		{"2", false, true},
-		{"", false, false},
-	} {
-		envWarned = sync.Map{}
-		buf.Reset()
-		t.Setenv("LASER_BENCH_SEGJIT", tc.env)
-		if got := segJIT(); got != tc.want {
-			t.Errorf("LASER_BENCH_SEGJIT=%q: segJIT() = %v, want %v", tc.env, got, tc.want)
-		}
-		if warned := buf.Len() > 0; warned != tc.warn {
-			t.Errorf("LASER_BENCH_SEGJIT=%q: warned=%v, want %v (output %q)", tc.env, warned, tc.warn, buf.String())
-		}
-		if tc.warn && !strings.Contains(buf.String(), "interpreter") {
-			t.Errorf("LASER_BENCH_SEGJIT=%q: warning %q does not name the fallback", tc.env, buf.String())
-		}
-	}
-
 	// The warning dedupes per (variable, value): repeated reads of one
 	// bad setting print once.
 	envWarned = sync.Map{}

@@ -55,11 +55,39 @@ func benchProg() (*isa.Program, []ThreadSpec) {
 	return prog, specs
 }
 
-// BenchmarkMachineStep measures the end-to-end per-instruction cost of the
-// simulator — scheduler, interpreter, coherence and memory — on a contended
-// 4-thread workload. One op is one simulated instruction.
-func BenchmarkMachineStep(b *testing.B) {
-	prog, specs := benchProg()
+// aluProg is a swaptions-shaped pure-ALU loop with no memory traffic:
+// the executor's dispatch cost with nothing else in the way.
+func aluProg() (*isa.Program, []ThreadSpec) {
+	b := isa.NewBuilder().At("alu_bench.c", 1)
+	entries := make([]int, 4)
+	for tid := 0; tid < 4; tid++ {
+		b.Func(fmt.Sprintf("aluworker%d", tid))
+		entries[tid] = b.Pos()
+		b.Li(1, 0)
+		loop := fmt.Sprintf("aluloop%d", tid)
+		b.Label(loop)
+		b.AluI(isa.Mul, 4, 4, 1103515245)
+		b.AluI(isa.Add, 4, 4, 12345)
+		b.AluI(isa.Shr, 5, 4, 16)
+		b.AluI(isa.Mul, 5, 5, 3)
+		b.AluI(isa.Div, 5, 5, 7)
+		b.Add(6, 6, 5)
+		b.AddI(1, 1, 1)
+		b.BranchI(isa.Lt, 1, 1<<60, loop)
+		b.Halt()
+	}
+	prog := b.Build()
+	specs := make([]ThreadSpec, 4)
+	for i := range specs {
+		specs[i] = ThreadSpec{Entry: entries[i]}
+	}
+	return prog, specs
+}
+
+// benchMachine runs prog on the serial scheduler in RunFor slices until
+// b.N instructions have retired. One op is one simulated instruction.
+func benchMachine(b *testing.B, prog *isa.Program, specs []ThreadSpec) {
+	b.Helper()
 	m := New(prog, Config{Cores: 4, MaxCycles: 1 << 62}, specs)
 	var target uint64
 	const slice = 1 << 16
@@ -71,6 +99,21 @@ func BenchmarkMachineStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMachineStep measures the end-to-end per-instruction cost of the
+// simulator — scheduler, executor, coherence and memory — on a contended
+// 4-thread workload.
+func BenchmarkMachineStep(b *testing.B) {
+	prog, specs := benchProg()
+	benchMachine(b, prog, specs)
+}
+
+// BenchmarkMachineStepALU measures the executor alone on register-only
+// code.
+func BenchmarkMachineStepALU(b *testing.B) {
+	prog, specs := aluProg()
+	benchMachine(b, prog, specs)
 }
 
 // BenchmarkMemoryLoadStore measures the raw backing-store path: one op is

@@ -50,20 +50,31 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // A panicking workload on the serial scheduler must come back as a
-// *PanicError, not unwind into the caller.
+// *PanicError, not unwind into the caller. Each malformed shape must
+// also get through New: decoding never panics, executing does.
 func TestRunPanicContainedSerial(t *testing.T) {
-	prog, specs := chaosProg(100, func(in *isa.Instr) { in.Op = isa.Op(250) })
-	m := New(prog, Config{Cores: 2}, specs)
-	_, err := m.Run()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Run() = %v, want *PanicError", err)
-	}
-	if !strings.Contains(pe.Error(), "machine: panic during run") {
-		t.Errorf("PanicError = %q, want the contained-panic message", pe)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("PanicError carries no stack")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(in *isa.Instr)
+	}{
+		{"opcode", func(in *isa.Instr) { in.Op = isa.Op(250) }},
+		{"alu kind", func(in *isa.Instr) { in.Op, in.ALU = isa.OpALU, isa.ALUKind(200) }},
+		{"branch condition", func(in *isa.Instr) { in.Op, in.Cond = isa.OpBranch, isa.Cond(99) }},
+		{"jump target", func(in *isa.Instr) { in.Op, in.Target = isa.OpJump, 1<<40 }},
+	} {
+		prog, specs := chaosProg(100, tc.corrupt)
+		m := New(prog, Config{Cores: 2}, specs)
+		_, err := m.Run()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: Run() = %v, want *PanicError", tc.name, err)
+		}
+		if !strings.Contains(pe.Error(), "machine: panic during run") {
+			t.Errorf("%s: PanicError = %q, want the contained-panic message", tc.name, pe)
+		}
+		if len(pe.Stack) == 0 {
+			t.Errorf("%s: PanicError carries no stack", tc.name)
+		}
 	}
 }
 

@@ -95,15 +95,6 @@ type Config struct {
 	// ValidateSharing makes the parallel engine panic when any thread
 	// touches a line inside another thread's declared private ranges.
 	ValidateSharing bool
-
-	// SegmentJIT enables the segment compiler (jit.go): provably-local
-	// superblocks are translated once into straight-line closures and
-	// dispatched whole, under both the serial scheduler and the
-	// intra-run parallel engine. Results are byte-identical to the
-	// interpreter on every path; only wall-clock time changes. Ignored
-	// under PrivateMemory (the Sheriff overlay has its own memory
-	// semantics, which the compiled memory paths do not model).
-	SegmentJIT bool
 }
 
 // ErrTimeout reports that a run exceeded Config.MaxCycles.
@@ -155,16 +146,6 @@ type Stats struct {
 	ProbeCycles     uint64 // cycles charged by the probe (PEBS/driver)
 	Commits         uint64 // private-memory commit points
 	CommitCycles    uint64
-
-	// CompiledInstrs counts instructions retired by the segment
-	// compiler's closures (Config.SegmentJIT), total and per core; the
-	// remainder (Instructions - CompiledInstrs) was interpreted, so a
-	// silent fallback to the interpreter is visible here rather than
-	// guessed at. Coverage diagnostics only: the counters do not feed
-	// any simulated observable and are not captured in snapshots (see
-	// CaptureState).
-	CompiledInstrs     uint64
-	CoreCompiledInstrs []uint64
 }
 
 // HITMs returns the total HITM count.
@@ -205,6 +186,11 @@ type Machine struct {
 	data *memory
 	coh  *coherence.Model
 
+	// ops is prog decoded (see decode.go), replaced together with prog
+	// on every SetProgram; costs prices each op kind under cfg.
+	ops   []op
+	costs *opCosts
+
 	threads []*thread
 	// runq[c] lists thread ids assigned to core c; cur[c] indexes the
 	// currently scheduled one.
@@ -230,7 +216,7 @@ type Machine struct {
 
 	// progGen increments on every SetProgram, so the batch loop can tell
 	// when a callback (repair fallback via OnAliasMiss) hot-swapped the
-	// code out from under its hoisted instruction slice.
+	// code out from under its hoisted decoded program.
 	progGen uint64
 
 	// hitmPCs accumulates per-PC HITM counts in a flat open-addressed
@@ -242,11 +228,6 @@ type Machine struct {
 	// eng is the intra-run parallel execution engine, nil under the
 	// serial scheduler (see parallel.go).
 	eng *engine
-
-	// jit is the segment compiler, nil unless Config.SegmentJIT is set
-	// (see jit.go). SetProgram drops it: compiled blocks index the
-	// original program's PCs only.
-	jit *segJIT
 
 	stats Stats
 }
@@ -330,6 +311,8 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	}
 	m := &Machine{
 		prog:       prog,
+		ops:        decode(prog),
+		costs:      newOpCosts(&cfg),
 		cfg:        cfg,
 		data:       newMemory(),
 		coh:        coherence.NewModel(cfg.Cores),
@@ -340,7 +323,6 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	}
 	m.stats.HITMByPC = make(map[mem.Addr]uint64)
 	m.stats.CoreCycles = make([]uint64, cfg.Cores)
-	m.stats.CoreCompiledInstrs = make([]uint64, cfg.Cores)
 	for i, s := range specs {
 		t := &thread{id: i, pc: s.Entry}
 		_, _, sp := mem.StackFor(i)
@@ -372,9 +354,6 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	// order the serial scheduler cannot reproduce.
 	if cfg.Parallelism > 1 && cfg.Cores > 1 && len(specs) > 1 && len(specs) <= cfg.Cores {
 		m.eng = newEngine(m, specs)
-	}
-	if cfg.SegmentJIT && !cfg.PrivateMemory {
-		m.jit = newSegJIT(m)
 	}
 	return m
 }
@@ -422,13 +401,8 @@ func (m *Machine) SetProgram(p *isa.Program, remap func(int) int) {
 		}
 	}
 	m.prog = p
+	m.ops = decode(p)
 	m.progGen++
-	// Every compiled block indexes the swapped-out program's PCs; drop
-	// the whole compiler so no stale closure can ever run (and its block
-	// caches are freed). The rewritten program is not recompiled: swaps
-	// only happen once instrumentation is installed, where segments stop
-	// carrying memory instructions anyway.
-	m.jit = nil
 }
 
 // Stats returns the statistics collected so far.
@@ -549,13 +523,6 @@ func (m *Machine) RunFor(target uint64) (done bool, err error) {
 	return true, nil
 }
 
-// opLocal marks the opcodes that may retire past the batch limit during
-// run-ahead. The table lives in the isa package now (isa.LocalOps): it is
-// the per-opcode core of the static sharing analysis, which generalizes
-// this run-ahead check into the per-(thread, PC) classification the
-// intra-run parallel engine schedules whole segments with.
-var opLocal = isa.LocalOps
-
 // pickCoreAndLimit scans the active cores once and returns both the
 // scheduler's pick — the core with the lowest clock, ties to the lowest
 // id — and the clock bound under which that core is guaranteed to remain
@@ -658,20 +625,18 @@ func (m *Machine) switchThread(c int) {
 // the thread halts (returns true, with the thread removed from its queue),
 // it starts an SSB-flush transaction, its clock reaches hard, or its clock
 // reaches limit with a non-local instruction up next (see RunFor). The
-// interpreter dispatch lives directly in this loop — one call per batch,
-// not per instruction, with the instruction fetch, clock slot and config
-// dilations held in locals.
+// executor dispatch lives directly in this loop — one call per batch,
+// not per instruction — over the decoded program; the globally-visible
+// ops retire out of line (execGlobal).
 //
 // routed forces loads and stores through the memLoad/memStore wrappers so
 // the intra-run parallel engine's private-line routing applies; the
 // serial scheduler passes false and keeps the inlined fast path. The
 // retirement semantics are identical either way.
 func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bool {
-	instrs := m.prog.Instrs
+	ops, costs := m.ops, m.costs
 	gen := m.progGen
 	clk := &m.clock[c]
-	extraInstr := m.cfg.ExtraInstrCycles
-	extraLoad := m.cfg.ExtraLoadCycles
 	priv := m.cfg.PrivateMemory
 	var eng *engine
 	var row []isa.SharingClass
@@ -684,75 +649,58 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		}
 	}
 	steps := uint64(0)
-	// Compiled dispatch (jit.go): only the serial scheduler's own batches
-	// compile — the engine's routed batches are its degraded contended
-	// mode, where segments are short and the lookup would not pay.
-	var jt *jitThread
-	if m.jit != nil && !routed {
-		jt = m.jit.gate(t.id, c)
-	}
-	comp := uint64(0)
 	for {
-		if jt != nil {
-			// Serial blocks hold only run-ahead-eligible (thread-local)
-			// ops with exact static costs, so like run-ahead they are
-			// bounded by hard, not limit; clk+worst < hard guarantees the
-			// interpreter would have retired every op of the block.
-			ran := false
-			for {
-				blk := m.jit.lookup(jt, t.pc)
-				if blk == nil {
-					break
-				}
-				ck := *clk
-				if ck >= hard || hard-ck <= blk.worst {
-					break
-				}
-				jvm := &jt.vm
-				jvm.t = t
-				jvm.clk = ck
-				blk.run(jvm)
-				*clk = jvm.clk
-				steps += jvm.steps
-				comp += jvm.steps
-				t.pc = jvm.pc
-				ran = true
-				if !jvm.ok {
-					break
-				}
-			}
-			// The interpreter checks the batch bounds after each op; after
-			// a compiled stretch the same check must run before the next
-			// fetch, because the loop body below always retires one op.
-			if ran {
-				if ck := *clk; ck >= limit && (ck >= hard || !opLocal[instrs[t.pc].Op]) {
-					break
-				}
-			}
-		}
-		in := &instrs[t.pc]
+		o := &ops[t.pc]
 		steps++
-		cost := extraInstr
+		cost := costs[o.kind]
 		next := t.pc + 1
 
-		switch in.Op {
-		case isa.OpNop:
-			cost += CostNop
-		case isa.OpMovImm:
-			t.regs[in.Rd] = in.Imm
-			cost += CostALU
-		case isa.OpMov:
-			t.regs[in.Rd] = t.regs[in.Rs1]
-			cost += CostALU
-		case isa.OpALU:
-			b := t.regs[in.Rs2]
-			if in.UseImm {
-				b = in.Imm
-			}
-			t.regs[in.Rd] = aluOp(in.ALU, t.regs[in.Rs1], b)
-			cost += CostALU
-		case isa.OpLoad:
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
+		switch o.kind {
+		case opNop, opPause:
+		case opIO:
+			cost += uint64(o.imm)
+		case opMovImm:
+			t.regs[o.d] = o.imm
+		case opMov:
+			t.regs[o.d] = t.regs[o.a]
+		case opAdd:
+			t.regs[o.d] = t.regs[o.a] + t.regs[o.b]
+		case opSub:
+			t.regs[o.d] = t.regs[o.a] - t.regs[o.b]
+		case opMul:
+			t.regs[o.d] = t.regs[o.a] * t.regs[o.b]
+		case opDiv:
+			t.regs[o.d] = div(t.regs[o.a], t.regs[o.b])
+		case opAnd:
+			t.regs[o.d] = t.regs[o.a] & t.regs[o.b]
+		case opOr:
+			t.regs[o.d] = t.regs[o.a] | t.regs[o.b]
+		case opXor:
+			t.regs[o.d] = t.regs[o.a] ^ t.regs[o.b]
+		case opShl:
+			t.regs[o.d] = t.regs[o.a] << (uint64(t.regs[o.b]) & 63)
+		case opShr:
+			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(t.regs[o.b]) & 63))
+		case opAddI:
+			t.regs[o.d] = t.regs[o.a] + o.imm
+		case opSubI:
+			t.regs[o.d] = t.regs[o.a] - o.imm
+		case opMulI:
+			t.regs[o.d] = t.regs[o.a] * o.imm
+		case opDivI:
+			t.regs[o.d] = div(t.regs[o.a], o.imm)
+		case opAndI:
+			t.regs[o.d] = t.regs[o.a] & o.imm
+		case opOrI:
+			t.regs[o.d] = t.regs[o.a] | o.imm
+		case opXorI:
+			t.regs[o.d] = t.regs[o.a] ^ o.imm
+		case opShlI:
+			t.regs[o.d] = t.regs[o.a] << (uint64(o.imm) & 63)
+		case opShrI:
+			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(o.imm) & 63))
+		case opLoad:
+			addr := mem.Addr(t.regs[o.a] + o.imm)
 			if !priv {
 				// Common path: the access() body inline, without the
 				// memLoad and access wrapper frames. In the engine's
@@ -766,7 +714,7 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 					cc, private = eng.privAccess(t, addr)
 				}
 				if private {
-					cost += cc + extraLoad
+					cost += cc
 				} else {
 					m.stats.MemAccesses++
 					res := m.coh.Access(c, addr, false)
@@ -774,29 +722,28 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 						m.abortConflictingTxns(t, addr)
 					}
 					if res.Result.IsHITM() {
-						m.noteHITM(t, c, in, addr, false, res)
+						m.noteHITM(t, c, &m.prog.Instrs[t.pc], addr, false, res)
 					}
-					cost += costTable[res.Result&7] + extraLoad
+					cost += costTable[res.Result&7]
 				}
 				// Aligned 8-byte read on the cached page, inline; every
 				// other shape takes the general loader.
-				if off := uint64(addr) & (pageSize - 1); in.Size == 8 &&
+				if off := uint64(addr) & (pageSize - 1); uint8(o.arg) == 8 &&
 					off <= pageSize-8 && uint64(addr)>>pageShift == m.data.lastPageNo {
-					t.regs[in.Rd] = int64(binary.LittleEndian.Uint64(m.data.lastPage[off:]))
+					t.regs[o.d] = int64(binary.LittleEndian.Uint64(m.data.lastPage[off:]))
 				} else {
-					t.regs[in.Rd] = int64(m.data.load(addr, in.Size))
+					t.regs[o.d] = int64(m.data.load(addr, uint8(o.arg)))
 				}
 			} else {
-				v, cc := m.memLoad(t, c, in, addr)
-				t.regs[in.Rd] = int64(v)
-				cost += cc + extraLoad
+				v, cc := m.memLoad(t, c, &m.prog.Instrs[t.pc], addr)
+				t.regs[o.d] = int64(v)
+				cost += cc
 			}
-		case isa.OpStore:
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
-			v := uint64(t.regs[in.Rs2])
-			if in.UseImm {
-				addr = mem.Addr(t.regs[in.Rs1])
-				v = uint64(in.Imm)
+		case opStore, opStoreImm:
+			addr := mem.Addr(t.regs[o.a] + o.imm)
+			v := uint64(t.regs[o.b])
+			if o.kind == opStoreImm {
+				addr, v = mem.Addr(t.regs[o.a]), uint64(o.imm)
 			}
 			if !priv {
 				cc := uint64(0)
@@ -813,81 +760,45 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 						m.abortConflictingTxns(t, addr)
 					}
 					if res.Result.IsHITM() {
-						m.noteHITM(t, c, in, addr, true, res)
+						m.noteHITM(t, c, &m.prog.Instrs[t.pc], addr, true, res)
 					}
 					cost += costTable[res.Result&7]
 				}
-				if off := uint64(addr) & (pageSize - 1); in.Size == 8 &&
+				if off := uint64(addr) & (pageSize - 1); uint8(o.arg) == 8 &&
 					off <= pageSize-8 && uint64(addr)>>pageShift == m.data.lastPageNo {
 					binary.LittleEndian.PutUint64(m.data.lastPage[off:], v)
 				} else {
-					m.data.store(addr, in.Size, v)
+					m.data.store(addr, uint8(o.arg), v)
 				}
 			} else {
-				cost += m.memStore(t, c, in, addr, v)
+				cost += m.memStore(t, c, &m.prog.Instrs[t.pc], addr, v)
 			}
-		case isa.OpBranch:
-			b := t.regs[in.Rs2]
-			if in.UseImm {
-				b = in.Imm
+		case opBranch:
+			if condHolds(isa.Cond(o.d), t.regs[o.a], t.regs[o.b]) {
+				next = int(o.arg)
 			}
-			if condHolds(in.Cond, t.regs[in.Rs1], b) {
-				next = in.Target
+		case opBranchI:
+			if condHolds(isa.Cond(o.d), t.regs[o.a], o.imm) {
+				next = int(o.arg)
 			}
-			cost += CostBranch
-		case isa.OpJump:
-			next = in.Target
-			cost += CostBranch
-		case isa.OpCall:
+		case opJump:
+			next = int(o.arg)
+		case opCall:
 			t.callStack = append(t.callStack, t.pc+1)
-			next = in.Target
-			cost += CostCall
-		case isa.OpRet:
+			next = int(o.arg)
+		case opRet:
 			if len(t.callStack) == 0 {
 				panic(fmt.Sprintf("machine: ret with empty call stack at %d", t.pc))
 			}
 			next = t.callStack[len(t.callStack)-1]
 			t.callStack = t.callStack[:len(t.callStack)-1]
-			cost += CostRet
-		case isa.OpCAS:
-			cost += m.execCAS(t, c, in)
-		case isa.OpFetchAdd:
-			cost += m.execFetchAdd(t, c, in)
-		case isa.OpFence:
-			cost += CostFence
-			cost += m.fencePoint(t, c)
-		case isa.OpPause:
-			cost += CostPause
-		case isa.OpIO:
-			cost += uint64(in.Imm)
-		case isa.OpHalt:
-			cost += m.fencePoint(t, c) // make buffered state visible at exit
-			t.halted = true
-		case isa.OpSSBLoad:
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
-			v, cc := m.ssbLoad(t, c, in, addr)
-			t.regs[in.Rd] = int64(v)
-			cost += cc + extraLoad
-		case isa.OpSSBStore:
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
-			v := uint64(t.regs[in.Rs2])
-			if in.UseImm {
-				addr = mem.Addr(t.regs[in.Rs1])
-				v = uint64(in.Imm)
-			}
-			cost += m.ssbStore(t, c, in, addr, v)
-		case isa.OpSSBFlush:
-			cost += m.startFlush(t, c)
-		case isa.OpAliasCheck:
-			cost += m.execAliasCheck(t, c, in)
 		default:
-			panic(fmt.Sprintf("machine: unknown opcode %v at %d", in.Op, t.pc))
+			cost += m.execGlobal(t, c, &m.prog.Instrs[t.pc])
 		}
 
 		*clk += cost
 		if t.halted {
 			m.stats.Instructions += steps
-			m.batchCompiled(c, comp, steps, routed)
 			m.removeThread(c, t.id)
 			return true
 		}
@@ -897,60 +808,27 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		}
 		if m.progGen != gen {
 			// A callback hot-swapped the program (and remapped pcs); the
-			// class row indexes the original program only, and the block
-			// cache was dropped by SetProgram.
-			instrs = m.prog.Instrs
+			// class row indexes the original program only.
+			ops = m.ops
 			gen = m.progGen
 			row = nil
-			jt = nil
 		}
 		if ck := *clk; ck >= limit {
-			if ck >= hard || !opLocal[instrs[t.pc].Op] {
+			if ck >= hard || !ops[t.pc].kind.local() {
 				break
 			}
 		}
 	}
 	m.stats.Instructions += steps
-	m.batchCompiled(c, comp, steps, routed)
 	return false
 }
 
-// batchCompiled folds one serial batch's compiled-instruction count into
-// the coverage counters and the per-core promotion state.
-func (m *Machine) batchCompiled(c int, comp, steps uint64, routed bool) {
-	if m.jit == nil || routed {
-		return
+// div is the ISA's signed division: division by zero yields zero.
+func div(a, b int64) int64 {
+	if b == 0 {
+		return 0
 	}
-	m.stats.CompiledInstrs += comp
-	m.stats.CoreCompiledInstrs[c] += comp
-	m.jit.note(c, comp, steps)
-}
-
-func aluOp(k isa.ALUKind, a, b int64) int64 {
-	switch k {
-	case isa.Add:
-		return a + b
-	case isa.Sub:
-		return a - b
-	case isa.Mul:
-		return a * b
-	case isa.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.Shl:
-		return a << (uint64(b) & 63)
-	case isa.Shr:
-		return int64(uint64(a) >> (uint64(b) & 63))
-	}
-	panic("machine: unknown ALU op")
+	return a / b
 }
 
 func condHolds(c isa.Cond, a, b int64) bool {

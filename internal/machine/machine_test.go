@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -563,5 +564,95 @@ func TestSetProgramHotSwap(t *testing.T) {
 	}
 	if got := m.ReadData(heap, 8); got != 99999 {
 		t.Errorf("final value = %d, want 99999", got)
+	}
+}
+
+// TestSetProgramRedecodes: a hot-swap replaces the decoded program, not
+// just the instruction slice. Two threads run a loop whose first body op
+// increments r2; the swapped-in program replaces exactly that op (the
+// one each thread resumes at) with a store of the loop counter. After
+// the swap r2 must stop counting and every remaining iteration must
+// store — a stale decoded form would keep counting and never store.
+func TestSetProgramRedecodes(t *testing.T) {
+	const iters = 300_000
+	build := func(store bool) *isa.Program {
+		b := isa.NewBuilder().At("redecode.c", 1)
+		b.Func("worker")
+		b.Li(1, 0)
+		b.Label("loop")
+		if store {
+			b.Store(5, 0, 1, 8)
+		} else {
+			b.AddI(2, 2, 1)
+		}
+		b.AddI(1, 1, 1)
+		b.BranchI(isa.Lt, 1, iters, "loop")
+		b.Halt()
+		return b.Build()
+	}
+	specs := []ThreadSpec{
+		{Regs: map[isa.Reg]int64{5: int64(heap)}},
+		{Regs: map[isa.Reg]int64{5: int64(heap + 4096)}},
+	}
+	identity := func(i int) int { return i }
+	for _, swapAt := range []uint64{1, 500, 5_000, 50_000, 200_000, 800_000} {
+		t.Run(fmt.Sprintf("swapAt=%d", swapAt), func(t *testing.T) {
+			for _, cfg := range []Config{{Cores: 2}, {Cores: 2, Parallelism: 2}} {
+				m := New(build(false), cfg, specs)
+				// Every op costs one cycle, so stopping at a clock of 1
+				// (after li) plus a whole number of 3-op iterations
+				// leaves both threads at the loop's first body op.
+				target := swapAt - (swapAt-1)%3
+				if _, err := m.RunFor(target); err != nil {
+					t.Fatal(err)
+				}
+				done := (target - 1) / 3
+				for tid, th := range m.threads {
+					if th.pc != 1 || uint64(th.regs[1]) != done {
+						t.Fatalf("workers=%d: thread %d stopped at pc %d after %d iterations, want pc 1 after %d",
+							cfg.Parallelism, tid, th.pc, th.regs[1], done)
+					}
+				}
+				m.SetProgram(build(true), identity)
+				st, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for tid := range specs {
+					if got := m.Reg(tid, 2); got != int64(done) {
+						t.Errorf("workers=%d: thread %d: r2 = %d, want %d (the pre-swap op kept running)", cfg.Parallelism, tid, got, done)
+					}
+					if got := m.ReadData(mem.Addr(specs[tid].Regs[5]), 8); got != iters-1 {
+						t.Errorf("workers=%d: thread %d: stored %d, want %d", cfg.Parallelism, tid, got, iters-1)
+					}
+				}
+				if want := 2 * (iters - done); st.MemAccesses != want {
+					t.Errorf("workers=%d: MemAccesses = %d, want %d (one store per post-swap iteration)", cfg.Parallelism, st.MemAccesses, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeLocalMatchesLocalOps: batches run ahead of the scheduler
+// only through local kinds, which is sound only where the sharing
+// analysis agrees the opcode touches thread-local state alone — so
+// every opcode, in every operand form, must decode to a kind whose
+// local bit matches isa.LocalOps.
+func TestDecodeLocalMatchesLocalOps(t *testing.T) {
+	var instrs []isa.Instr
+	for op := range isa.LocalOps {
+		for k := isa.Add; k <= isa.Shr; k++ {
+			for _, imm := range []bool{false, true} {
+				instrs = append(instrs, isa.Instr{Op: isa.Op(op), ALU: k, UseImm: imm})
+			}
+		}
+	}
+	for i, o := range decode(&isa.Program{Instrs: instrs}) {
+		in := &instrs[i]
+		if o.kind.local() != isa.LocalOps[in.Op] {
+			t.Errorf("%v (alu %v, imm %v) decodes to kind %d, local=%v; isa.LocalOps says %v",
+				in.Op, in.ALU, in.UseImm, o.kind, o.kind.local(), isa.LocalOps[in.Op])
+		}
 	}
 }

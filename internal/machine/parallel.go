@@ -133,12 +133,6 @@ type segJob struct {
 	// allowMem permits private memory instructions in the segment; false
 	// once a program rewrite is installed (see the package comment).
 	allowMem bool
-	// jt is the thread's compiled-block cache when this segment may
-	// dispatch to the segment compiler (SegmentJIT on, original program
-	// installed, core currently promoted); nil otherwise. Resolved by
-	// the scheduler in prepJob so the worker never touches the
-	// promotion state.
-	jt *jitThread
 }
 
 // segResult carries a segment's effects back to the scheduler. Everything
@@ -150,7 +144,6 @@ type segResult struct {
 	mem   uint64
 	miss  uint64 // first-touch private lines (MissMemory outcomes)
 	hit   uint64 // re-touched private lines (HitLocal outcomes)
-	comp  uint64 // steps retired by compiled blocks (SegmentJIT)
 }
 
 // privRange is one line-aligned thread-private range plus the first-touch
@@ -571,9 +564,6 @@ func (e *engine) prepJob(c int) {
 		hard:     hard,
 		allowMem: m.progGen == 0,
 	}
-	if j := &e.state[c].job; j.allowMem && m.jit != nil {
-		j.jt = m.jit.gate(j.t.id, c)
-	}
 }
 
 func (e *engine) dispatch(c int) {
@@ -605,11 +595,6 @@ func (e *engine) consume(c int) {
 	m.stats.MemAccesses += st.res.mem
 	m.coh.Counts[coherence.MissMemory] += st.res.miss
 	m.coh.Counts[coherence.HitLocal] += st.res.hit
-	if m.jit != nil {
-		m.stats.CompiledInstrs += st.res.comp
-		m.stats.CoreCompiledInstrs[c] += st.res.comp
-		m.jit.note(c, st.res.comp, st.res.steps)
-	}
 	st.ema = (3*st.ema + float64(st.res.steps)) / 4
 	st.probe = probeInterval
 	st.status = segStopped
@@ -684,70 +669,68 @@ func (e *engine) runSegment(c int) {
 	j := &st.job
 	t := j.t
 	m := e.m
-	instrs := m.prog.Instrs
+	ops, costs := m.ops, m.costs
 	row := e.sharing.Row(t.id)
 	ps := e.priv[t.id]
 	view := e.views[c]
 	clk, hard := j.clock, j.hard
-	extraInstr := m.cfg.ExtraInstrCycles
-	extraLoad := m.cfg.ExtraLoadCycles
 	priv := m.cfg.PrivateMemory
 	allowMem := j.allowMem
-	var steps, memAcc, miss, hit, comp uint64
-	jt := j.jt
+	var steps, memAcc, miss, hit uint64
 loop:
 	for clk < hard {
-		// Compiled dispatch (jit.go): engine blocks carry the same
-		// runtime-checked private memory ops as the interpreting loop
-		// below; a failed check bails before any side effect and the
-		// loop below then ends the segment at that op, exactly as it
-		// would have interpreting.
-		if jt != nil {
-			for {
-				blk := m.jit.lookup(jt, t.pc)
-				if blk == nil || hard-clk <= blk.worst {
-					break
-				}
-				jvm := &jt.vm
-				jvm.t, jvm.ps, jvm.view = t, ps, view
-				jvm.clk = clk
-				blk.run(jvm)
-				clk = jvm.clk
-				steps += jvm.steps
-				comp += jvm.steps
-				memAcc += jvm.mem
-				miss += jvm.miss
-				hit += jvm.hit
-				t.pc = jvm.pc
-				if !jvm.ok {
-					break
-				}
-			}
-		}
-		in := &instrs[t.pc]
-		cost := extraInstr
+		o := &ops[t.pc]
+		cost := costs[o.kind]
 		next := t.pc + 1
-		switch in.Op {
-		case isa.OpNop:
-			cost += CostNop
-		case isa.OpMovImm:
-			t.regs[in.Rd] = in.Imm
-			cost += CostALU
-		case isa.OpMov:
-			t.regs[in.Rd] = t.regs[in.Rs1]
-			cost += CostALU
-		case isa.OpALU:
-			b := t.regs[in.Rs2]
-			if in.UseImm {
-				b = in.Imm
-			}
-			t.regs[in.Rd] = aluOp(in.ALU, t.regs[in.Rs1], b)
-			cost += CostALU
-		case isa.OpLoad:
+		switch o.kind {
+		case opNop, opPause:
+		case opIO:
+			cost += uint64(o.imm)
+		case opMovImm:
+			t.regs[o.d] = o.imm
+		case opMov:
+			t.regs[o.d] = t.regs[o.a]
+		case opAdd:
+			t.regs[o.d] = t.regs[o.a] + t.regs[o.b]
+		case opSub:
+			t.regs[o.d] = t.regs[o.a] - t.regs[o.b]
+		case opMul:
+			t.regs[o.d] = t.regs[o.a] * t.regs[o.b]
+		case opDiv:
+			t.regs[o.d] = div(t.regs[o.a], t.regs[o.b])
+		case opAnd:
+			t.regs[o.d] = t.regs[o.a] & t.regs[o.b]
+		case opOr:
+			t.regs[o.d] = t.regs[o.a] | t.regs[o.b]
+		case opXor:
+			t.regs[o.d] = t.regs[o.a] ^ t.regs[o.b]
+		case opShl:
+			t.regs[o.d] = t.regs[o.a] << (uint64(t.regs[o.b]) & 63)
+		case opShr:
+			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(t.regs[o.b]) & 63))
+		case opAddI:
+			t.regs[o.d] = t.regs[o.a] + o.imm
+		case opSubI:
+			t.regs[o.d] = t.regs[o.a] - o.imm
+		case opMulI:
+			t.regs[o.d] = t.regs[o.a] * o.imm
+		case opDivI:
+			t.regs[o.d] = div(t.regs[o.a], o.imm)
+		case opAndI:
+			t.regs[o.d] = t.regs[o.a] & o.imm
+		case opOrI:
+			t.regs[o.d] = t.regs[o.a] | o.imm
+		case opXorI:
+			t.regs[o.d] = t.regs[o.a] ^ o.imm
+		case opShlI:
+			t.regs[o.d] = t.regs[o.a] << (uint64(o.imm) & 63)
+		case opShrI:
+			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(o.imm) & 63))
+		case opLoad:
 			if !allowMem {
 				break loop
 			}
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
+			addr := mem.Addr(t.regs[o.a] + o.imm)
 			if priv {
 				// Sheriff mode: a load is thread-local only when every
 				// byte hits this thread's own overlay. A missing byte
@@ -755,42 +738,11 @@ loop:
 				// depend on the global order of other threads' commits
 				// — such loads (including every spin-wait on a flag
 				// another thread publishes) retire serially.
-				v, ok := t.overlay.GetLocal(addr, in.Size)
+				v, ok := t.overlay.GetLocal(addr, uint8(o.arg))
 				if !ok {
 					break loop
 				}
-				t.regs[in.Rd] = int64(v)
-				cost += CostMemHitLocal + extraLoad
-				break
-			}
-			if row[t.pc] == isa.ShareShared {
-				break loop
-			}
-			r := ps.find(addr)
-			if r == nil || addr+mem.Addr(in.Size) > r.end {
-				break loop
-			}
-			if r.touch(mem.LineOf(addr)) {
-				miss++
-				cost += CostMissMemory + extraLoad
-			} else {
-				hit++
-				cost += CostMemHitLocal + extraLoad
-			}
-			memAcc++
-			t.regs[in.Rd] = int64(view.load(addr, in.Size))
-		case isa.OpStore:
-			if !allowMem {
-				break loop
-			}
-			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
-			v := uint64(t.regs[in.Rs2])
-			if in.UseImm {
-				addr = mem.Addr(t.regs[in.Rs1])
-				v = uint64(in.Imm)
-			}
-			if priv {
-				t.overlay.Put(addr, in.Size, v)
+				t.regs[o.d] = int64(v)
 				cost += CostMemHitLocal
 				break
 			}
@@ -798,7 +750,7 @@ loop:
 				break loop
 			}
 			r := ps.find(addr)
-			if r == nil || addr+mem.Addr(in.Size) > r.end {
+			if r == nil || addr+mem.Addr(o.arg) > r.end {
 				break loop
 			}
 			if r.touch(mem.LineOf(addr)) {
@@ -809,34 +761,58 @@ loop:
 				cost += CostMemHitLocal
 			}
 			memAcc++
-			view.store(addr, in.Size, v)
-		case isa.OpBranch:
-			b := t.regs[in.Rs2]
-			if in.UseImm {
-				b = in.Imm
+			t.regs[o.d] = int64(view.load(addr, uint8(o.arg)))
+		case opStore, opStoreImm:
+			if !allowMem {
+				break loop
 			}
-			if condHolds(in.Cond, t.regs[in.Rs1], b) {
-				next = in.Target
+			addr := mem.Addr(t.regs[o.a] + o.imm)
+			v := uint64(t.regs[o.b])
+			if o.kind == opStoreImm {
+				addr, v = mem.Addr(t.regs[o.a]), uint64(o.imm)
 			}
-			cost += CostBranch
-		case isa.OpJump:
-			next = in.Target
-			cost += CostBranch
-		case isa.OpCall:
+			if priv {
+				t.overlay.Put(addr, uint8(o.arg), v)
+				cost += CostMemHitLocal
+				break
+			}
+			if row[t.pc] == isa.ShareShared {
+				break loop
+			}
+			r := ps.find(addr)
+			if r == nil || addr+mem.Addr(o.arg) > r.end {
+				break loop
+			}
+			if r.touch(mem.LineOf(addr)) {
+				miss++
+				cost += CostMissMemory
+			} else {
+				hit++
+				cost += CostMemHitLocal
+			}
+			memAcc++
+			view.store(addr, uint8(o.arg), v)
+		case opBranch:
+			if condHolds(isa.Cond(o.d), t.regs[o.a], t.regs[o.b]) {
+				next = int(o.arg)
+			}
+		case opBranchI:
+			if condHolds(isa.Cond(o.d), t.regs[o.a], o.imm) {
+				next = int(o.arg)
+			}
+		case opJump:
+			next = int(o.arg)
+		case opCall:
 			t.callStack = append(t.callStack, t.pc+1)
-			next = in.Target
-			cost += CostCall
-		case isa.OpRet:
+			next = int(o.arg)
+		case opRet:
 			if len(t.callStack) == 0 {
 				panic(fmt.Sprintf("machine: ret with empty call stack at %d", t.pc))
 			}
 			next = t.callStack[len(t.callStack)-1]
 			t.callStack = t.callStack[:len(t.callStack)-1]
-			cost += CostRet
-		case isa.OpPause:
-			cost += CostPause
-		case isa.OpIO:
-			cost += uint64(in.Imm)
+		case opBadALU:
+			panic(unknownALU(&m.prog.Instrs[t.pc], t.pc))
 		default:
 			// Atomics, fences, SSB operations, alias checks, halt: all
 			// globally visible; the scheduler retires them.
@@ -846,7 +822,7 @@ loop:
 		steps++
 		t.pc = next
 	}
-	st.res = segResult{clock: clk, steps: steps, mem: memAcc, miss: miss, hit: hit, comp: comp}
+	st.res = segResult{clock: clk, steps: steps, mem: memAcc, miss: miss, hit: hit}
 }
 
 // stepOne executes exactly one instruction of t on core c — the engine's

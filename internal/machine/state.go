@@ -234,11 +234,6 @@ func (m *Machine) CaptureState() *State {
 	st.Stats = m.stats
 	st.Stats.CoreCycles = append([]uint64(nil), m.stats.CoreCycles...)
 	st.Stats.HITMByPC = nil // rebuilt from HITMPCs on restore
-	// Compiled-coverage counters are dispatch-policy diagnostics, like
-	// the engine's heuristics: not part of the deterministic machine
-	// state, so not captured (a restored machine counts afresh).
-	st.Stats.CompiledInstrs = 0
-	st.Stats.CoreCompiledInstrs = nil
 	for i, k := range m.hitmPCs.keys {
 		if k != 0 {
 			st.HITMPCs = append(st.HITMPCs, PCCount{PC: k, Count: m.hitmPCs.counts[i]})
@@ -340,11 +335,8 @@ func (m *Machine) RestoreState(st *State) error {
 	// Stats: scalars from the snapshot; derived containers rebuilt.
 	cc := m.stats.CoreCycles
 	byPC := m.stats.HITMByPC
-	ccomp := m.stats.CoreCompiledInstrs
 	m.stats = st.Stats
 	m.stats.CoreCycles = cc
-	clear(ccomp)
-	m.stats.CoreCompiledInstrs = ccomp
 	if byPC == nil {
 		byPC = make(map[mem.Addr]uint64)
 	}

@@ -103,7 +103,6 @@ type AttachOptions struct {
 	Repair               *bool    `json:"repair,omitempty"`
 	PostRepairMonitoring *bool    `json:"post_repair_monitoring,omitempty"`
 	IntraRunParallelism  *int     `json:"intra_run_parallelism,omitempty"`
-	SegmentJIT           *bool    `json:"segment_jit,omitempty"`
 	SpeculativeRepair    *bool    `json:"speculative_repair,omitempty"`
 	TrialBudget          *uint64  `json:"trial_budget,omitempty"`
 }
@@ -230,9 +229,6 @@ func (r *AttachRequest) SessionOptions(budget uint64) ([]laser.Option, uint64) {
 	}
 	if o.IntraRunParallelism != nil {
 		opts = append(opts, laser.WithIntraRunParallelism(*o.IntraRunParallelism))
-	}
-	if o.SegmentJIT != nil {
-		opts = append(opts, laser.WithSegmentJIT(*o.SegmentJIT))
 	}
 	if o.SpeculativeRepair != nil {
 		opts = append(opts, laser.WithSpeculativeRepair(*o.SpeculativeRepair))

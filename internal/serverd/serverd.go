@@ -126,7 +126,6 @@ type serverMetrics struct {
 	eventsDropped    *metrics.Counter
 	repairTrials     *metrics.Counter
 	repairTrialsWon  *metrics.Counter
-	compiledInstrs   *metrics.Counter
 	runsPending      *metrics.Gauge
 	workersBusy      *metrics.Gauge
 	streamsActive    *metrics.Gauge
@@ -154,7 +153,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		eventsDropped:    r.NewCounter("laserd_events_dropped_total", "Event frames rotated out of bounded backlogs."),
 		repairTrials:     r.NewCounter("laserd_repair_trials_total", "Speculative repair trials run across all sessions."),
 		repairTrialsWon:  r.NewCounter("laserd_repair_trials_won", "Speculative repair trials whose candidate was selected."),
-		compiledInstrs:   r.NewCounter("laserd_compiled_instrs_total", "Simulated instructions retired by compiled segments (segment JIT) across all sessions."),
 		runsPending:      r.NewGauge("laserd_runs_pending", "Run requests admitted and not yet finished."),
 		workersBusy:      r.NewGauge("laserd_workers_busy", "Simulation worker slots in use."),
 		streamsActive:    r.NewGauge("laserd_streams_active", "SSE event streams currently open."),

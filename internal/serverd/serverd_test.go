@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +172,15 @@ func TestAttachValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status = %d, want 400", resp.StatusCode)
+	}
+
+	// A removed option is an unknown field too: a client still sending
+	// it gets a 400 naming the field instead of a silently ignored knob.
+	var removed map[string]string
+	resp = doJSON(t, http.MethodPost, ts.URL+"/sessions",
+		json.RawMessage(`{"workload":"histogram","options":{"segment_jit":true}}`), &removed)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(removed["error"], `"segment_jit"`) {
+		t.Fatalf("removed option: %d %q, want 400 naming the field", resp.StatusCode, removed["error"])
 	}
 
 	// A conflicting option pair surfaces laser's own validation error.
@@ -418,44 +426,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(resp.Header.Get("Content-Type"), "text/plain") {
 		t.Fatalf("metrics content type = %q", resp.Header.Get("Content-Type"))
-	}
-}
-
-// TestMetricsCompiledInstrs: a session attached with the segment
-// compiler reports its compiled-instruction coverage in /metrics, so a
-// deployment can tell the JIT engaged rather than silently falling back
-// to the interpreter.
-func TestMetricsCompiledInstrs(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	on := true
-	st := attachT(t, ts.URL, AttachRequest{
-		Workload: "swaptions",
-		Scale:    0.02,
-		Options:  AttachOptions{SegmentJIT: &on},
-	}, http.StatusCreated)
-	if resp := doJSON(t, http.MethodPost, ts.URL+"/sessions/"+st.ID+"/run", nil, nil); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("run = %d", resp.StatusCode)
-	}
-	waitState(t, ts.URL, st.ID, "done")
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var val int64 = -1
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, "laserd_compiled_instrs_total "); ok {
-			if val, err = strconv.ParseInt(strings.TrimSpace(rest), 10, 64); err != nil {
-				t.Fatalf("unparsable metric line %q: %v", line, err)
-			}
-		}
-	}
-	if val < 0 {
-		t.Fatalf("/metrics missing laserd_compiled_instrs_total:\n%s", body)
-	}
-	if val == 0 {
-		t.Fatal("laserd_compiled_instrs_total = 0 for a segment-JIT swaptions session")
 	}
 }
 

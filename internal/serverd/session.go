@@ -188,11 +188,6 @@ type hosted struct {
 	ckptEvents   uint64 // event total at the last checkpoint
 	ckptCycles   uint64 // simulated cycles at the last checkpoint
 	resumeOnBoot bool   // parked by shutdown mid-run; resume after restart
-
-	// metCompiled is the session's CompiledInstrs already folded into
-	// laserd_compiled_instrs_total; stepLocked exports deltas so the
-	// counter stays monotonic across sessions. Guarded by mu.
-	metCompiled uint64
 }
 
 // touch refreshes the idle clock. Callers hold h.mu or are the only
@@ -221,14 +216,6 @@ func (h *hosted) observe(e laser.Event) {
 // the state allows stepping.
 func (h *hosted) stepLocked() (done bool) {
 	stepDone, err := h.sess.Step()
-	// Export the segment compiler's coverage before folding the outcome:
-	// the machine's counter survives failures, and a restored session
-	// starts it at zero, so the per-step delta keeps the process counter
-	// monotonic.
-	if c := h.sess.Stats().CompiledInstrs; c > h.metCompiled {
-		h.srv.met.compiledInstrs.Add(c - h.metCompiled)
-		h.metCompiled = c
-	}
 	switch {
 	case err != nil:
 		h.state = stateFailed

@@ -12,17 +12,14 @@ import (
 // poll cadence and cycle/epoch budgets. Two configurations with equal
 // fingerprints produce byte-identical runs of the same workload image.
 //
-// Execution-engine knobs that are proven not to affect simulated
-// results — IntraRunParallelism, whose output is byte-identical at any
-// worker count, and SegmentJIT, whose compiled blocks retire the exact
-// interpreter schedule — are excluded, so a cache entry computed under
-// one engine configuration is valid under every other.
+// IntraRunParallelism is excluded: its output is byte-identical at any
+// worker count, so a cache entry computed under one engine
+// configuration is valid under every other.
 //
 // The experiment harness uses the fingerprint as the configuration
 // component of its persistent run-cache keys.
 func (c Config) Fingerprint() string {
 	c.IntraRunParallelism = 0
-	c.SegmentJIT = false
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", c)))
 	return hex.EncodeToString(sum[:12])
 }

@@ -61,12 +61,6 @@ type Config struct {
 	// WithIntraRunParallelism). Results are byte-identical to the serial
 	// engine; 0 or 1 selects it.
 	IntraRunParallelism int
-	// SegmentJIT compiles provably-private instruction segments into
-	// straight-line native closures inside the simulated machine (see
-	// WithSegmentJIT). Results are byte-identical to the interpreter;
-	// only wall-clock time changes. Ignored under execution models with
-	// their own memory semantics (Sheriff).
-	SegmentJIT bool
 	// MaxEpochs bounds how many detect→repair epochs a session may run.
 	// 0 means "entry point's default": 1 (the paper's one-shot pass) for
 	// the Run wrappers, DefaultMaxEpochs for Attach.
@@ -188,18 +182,9 @@ func RunNative(img *workload.Image, cores int) (*machine.Stats, error) {
 // keeps the hardware busy when a figure has fewer runnable simulations
 // than host cores.
 func RunNativeParallel(img *workload.Image, cores, workers int) (*machine.Stats, error) {
-	return RunNativeParallelJIT(img, cores, workers, false)
-}
-
-// RunNativeParallelJIT is RunNativeParallel with the segment compiler
-// optionally enabled (see WithSegmentJIT): provably-private instruction
-// stretches execute as compiled straight-line closures, byte-identical
-// to the interpreter at any worker count.
-func RunNativeParallelJIT(img *workload.Image, cores, workers int, segjit bool) (*machine.Stats, error) {
 	m := machine.New(img.Prog, machine.Config{
 		Cores:       cores,
 		Parallelism: workers,
-		SegmentJIT:  segjit,
 		PrivateData: img.PrivateRanges(),
 	}, img.Specs)
 	img.Init(m)

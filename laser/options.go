@@ -163,22 +163,6 @@ func WithIntraRunParallelism(n int) Option {
 	}
 }
 
-// WithSegmentJIT compiles the simulated machine's provably-private
-// instruction segments — maximal straight-line runs the sharing
-// analysis clears of cross-thread visibility — into specialized
-// straight-line closures, with 1/2/4/8-byte load/store fast paths and
-// register operations inlined. Every globally-visible event (coherence
-// traffic, HITMs, probe activity, SSB transactions, halts) still
-// retires through the interpreter in the exact serial order, so
-// results — statistics, reports, the event stream — are byte-identical
-// to the interpreter; only wall-clock time changes.
-func WithSegmentJIT(on bool) Option {
-	return func(s *settings) error {
-		s.cfg.SegmentJIT = on
-		return nil
-	}
-}
-
 // WithMaxEpochs bounds how many detect→repair epochs the session may run.
 // 1 recovers the paper's one-shot behaviour (a single repair, then the
 // pipeline keeps observing but never re-triggers); Attach's default is

@@ -211,7 +211,6 @@ func newSession(img *workload.Image, st settings) (*Session, error) {
 		Probe:       pmu,
 		MaxCycles:   cfg.MaxCycles,
 		Parallelism: cfg.IntraRunParallelism,
-		SegmentJIT:  cfg.SegmentJIT,
 		PrivateData: img.PrivateRanges(),
 		OnAliasMiss: func(tid int, pc mem.Addr) {
 			if ctl != nil {
