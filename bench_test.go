@@ -25,7 +25,6 @@ package repro
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -213,42 +212,34 @@ func BenchmarkFigure13(b *testing.B) {
 	}
 }
 
-// BenchmarkIntraRunSpeedup wall-times one high-scale native run (4
-// simulated cores, accuracy scale) under the serial scheduler and under
-// the intra-run parallel engine, and reports the speedup. The simulated
-// statistics are byte-identical by construction; only the wall clock
-// changes — on a multi-core host the private-heavy workloads approach
-// the worker count, while on a single core the engine stays near 1.0x.
-// laserbench -json records the same measurement in BENCH_PR3.json.
+// BenchmarkIntraRunSpeedup wall-times one native run (4 simulated
+// cores, accuracy scale) of every stock workload on the serial engine
+// (1 worker) and on the intra-run parallel engine with 2 workers, and
+// reports the speedup. The simulated statistics are byte-identical by
+// construction; only the wall clock changes. Run it with -benchtime=1x
+// for one pair per workload:
+//
+//	go test -run '^$' -bench IntraRunSpeedup -benchtime=1x .
 func BenchmarkIntraRunSpeedup(b *testing.B) {
-	cfg := benchConfig()
-	for _, name := range []string{"histogram", "swaptions", "histogram'"} {
-		w, ok := workload.Get(name)
-		if !ok {
-			b.Fatalf("unknown workload %q", name)
-		}
-		b.Run(name, func(b *testing.B) {
-			run := func(par int) time.Duration {
-				img := w.Build(workload.Options{Scale: cfg.AccuracyScale})
+	scale := benchConfig().AccuracyScale
+	for _, w := range workload.All() {
+		b.Run(w.Name, func(b *testing.B) {
+			run := func(workers int) time.Duration {
+				img := w.Build(workload.Options{Scale: scale})
 				start := time.Now()
-				if _, err := laser.RunNativeParallel(img, 4, par); err != nil {
+				if _, err := laser.RunNativeParallel(img, 4, workers); err != nil {
 					b.Fatal(err)
 				}
 				return time.Since(start)
 			}
-			workers := min(4, runtime.GOMAXPROCS(0))
-			if workers < 2 {
-				workers = 2 // still exercises the engine; no host parallelism
-			}
+			var serial, parallel time.Duration
 			for i := 0; i < b.N; i++ {
-				serial := run(1)
-				parallel := run(workers)
-				if i == 0 {
-					b.ReportMetric(serial.Seconds(), "serial_s")
-					b.ReportMetric(parallel.Seconds(), "parallel_s")
-					b.ReportMetric(float64(serial)/float64(parallel), "speedup")
-				}
+				serial += run(1)
+				parallel += run(2)
 			}
+			b.ReportMetric(serial.Seconds()/float64(b.N), "serial_s")
+			b.ReportMetric(parallel.Seconds()/float64(b.N), "parallel_s")
+			b.ReportMetric(float64(serial)/float64(parallel), "speedup")
 		})
 	}
 }

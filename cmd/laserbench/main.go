@@ -4,22 +4,19 @@
 // Usage:
 //
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
-//	           [-ascale N] [-pscale N] [-runs N] [-intra N]
+//	           [-ascale N] [-pscale N] [-runs N]
 //	           [-speculative-repair=true|false]
 //	           [-cache DIR] [-shard I/N] [-shard-partition cost|hash]
 //	           [-cache-gc AGE] [-cache-gc-bytes N]
 //	           [-fault-plan SPEC] [-unit-retries N]
 //	           [-unit-deadline-floor D] [-unit-backoff D]
-//	           [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every experiment is a registered spec (enumerated work units plus a
 // cache-pure assembly step); a single executor runs the selected specs'
 // units concurrently on every host core and assembles each figure from
 // the run cache. Set LASER_BENCH_PARALLEL to pick the worker count
-// (1 = fully serial). When a phase has fewer runnable simulations than
-// host workers, the leftovers move inside each simulated machine via
-// the intra-run parallel engine; -intra (or LASER_BENCH_INTRA)
-// overrides the split. The rendered output is byte-identical at any
+// (1 = fully serial). The rendered output is byte-identical at any
 // parallelism — only wall time changes. -exp takes a comma-separated
 // list of experiment or artifact names, "all" or "none"; any other
 // entry is an error.
@@ -56,18 +53,12 @@
 // -unit-deadline-floor, -unit-backoff tune the policy); units that
 // exhaust the budget are quarantined — their figure renders explicit
 // failure-marker rows, sibling figures render normally, and the
-// process exits non-zero with a one-line failure summary that -json
-// also embeds. See EXPERIMENTS.md ("Chaos runs") and
-// internal/faultinject for the plan syntax.
+// process exits non-zero with a one-line failure summary. See
+// EXPERIMENTS.md ("Chaos runs") and internal/faultinject for the plan
+// syntax.
 //
-// -json additionally writes machine-readable results to FILE: per-figure
-// wall time annotated warm/cold with work-unit cache-hit/simulated
-// counts, key scalar metrics, and a serial-vs-parallel engine
-// microbenchmark with ns per simulated instruction (CI uploads
-// BENCH_PR3.json as an artifact). A warm figure simulated nothing — its
-// wall time measures cache assembly, not the simulator. -cpuprofile and
-// -memprofile capture pprof profiles of the whole run; see
-// EXPERIMENTS.md for the profiling workflow.
+// -cpuprofile and -memprofile capture pprof profiles of the whole run;
+// see EXPERIMENTS.md for the profiling workflow.
 package main
 
 import (
@@ -91,7 +82,6 @@ func main() {
 	pscale := flag.Float64("pscale", 1, "performance experiment scale")
 	runs := flag.Int("runs", 3, "runs per performance data point")
 	specRepair := flag.Bool("speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
-	intra := flag.Int("intra", 0, "intra-run engine workers per simulation (0 = automatic split)")
 	faultPlan := flag.String("fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
 	unitRetries := flag.Int("unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
 	unitDeadlineFloor := flag.Duration("unit-deadline-floor", 0, "minimum per-unit deadline (0 = default 30s)")
@@ -101,7 +91,6 @@ func main() {
 	shardPartition := flag.String("shard-partition", "cost", "shard partition mode: cost (balance estimated simulation cost) or hash (by cache key)")
 	gcAge := flag.Duration("cache-gc", 0, "evict cache entries not accessed for this long after the run (requires -cache; 0 disables)")
 	gcBytes := flag.Int64("cache-gc-bytes", 0, "then evict least-recently-used entries until the cache fits this many bytes (0 disables)")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -127,9 +116,6 @@ func main() {
 	want, err := parseExp(*exp)
 	if err != nil {
 		fail(err)
-	}
-	if *intra > 0 {
-		os.Setenv("LASER_BENCH_INTRA", fmt.Sprint(*intra))
 	}
 	planSpec := *faultPlan
 	if planSpec == "" {
@@ -188,7 +174,6 @@ func main() {
 	}
 
 	cfg := experiments.Config{AccuracyScale: *ascale, PerfScale: *pscale, Runs: *runs, SpeculativeRepair: *specRepair}
-	bench := experiments.NewBenchReport(cfg)
 	all := want["all"]
 	wantFn := func(e string) bool { return all || want[e] }
 
@@ -227,7 +212,6 @@ func main() {
 	// markers; the run keeps going and the exit status reports them.
 	runOpts.Progress = os.Stderr
 	runOpts.OnSpec = func(res experiments.SpecResult) {
-		bench.Record(res)
 		for _, a := range res.Rendered.Artifacts {
 			if all || want[a.Name] || want[res.Spec.Name] {
 				fmt.Println(a.Text)
@@ -238,28 +222,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	bench.RecordFailures(sum)
 	if len(results) > 0 {
 		fmt.Fprintf(os.Stderr, "laserbench: %d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
 	}
 	runGC()
 
-	if *jsonPath != "" {
-		// The engine microbenchmark: one private-heavy and one contended
-		// workload, at accuracy scale, serial vs intra-run parallel.
-		workers := *intra
-		if workers <= 1 {
-			workers = 4
-		}
-		if err := bench.MeasureIntraRun([]string{"histogram", "swaptions", "histogram'"},
-			*ascale, workers); err != nil {
-			fail(err)
-		}
-		if err := bench.WriteFile(*jsonPath); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "laserbench: wrote %s\n", *jsonPath)
-	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
@@ -272,9 +239,8 @@ func main() {
 		}
 	}
 	// Quarantined units: everything above still rendered (markers for
-	// the affected specs, real artifacts for the rest) and the BENCH
-	// json carries the full summary — but the process exit must not
-	// claim success.
+	// the affected specs, real artifacts for the rest) — but the process
+	// exit must not claim success.
 	if sum.Failed() {
 		fail(fmt.Errorf("FAILED: %s", sum))
 	}

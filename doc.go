@@ -43,9 +43,10 @@
 // A single simulated machine can also execute on several host threads:
 // the intra-run parallel engine (machine.Config.Parallelism,
 // laser.WithIntraRunParallelism) runs each core's thread-private
-// instruction stretches concurrently — guided by a static per-(thread,
-// PC) sharing analysis in internal/isa plus the workloads' declared
-// thread-private allocations — and retires every globally-visible event
+// instruction stretches concurrently — privacy comes from the workloads'
+// declared thread-private allocations plus the thread stacks, checked
+// against every access's effective address at run time — and retires
+// every globally-visible event
 // serially in the exact serial-schedule order, so results are
 // byte-identical to the serial engine at any worker count. See
 // DESIGN.md, "The two execution engines".
@@ -61,13 +62,10 @@
 // while a single executor fans the units out across all host cores,
 // deduplicates them across experiments, and can partition them into a
 // cost-balanced shard matrix (see DESIGN.md, "The experiment
-// registry"). When a phase has fewer runnable simulations than host
-// workers, the leftover workers move inside each machine via the
-// intra-run engine.
+// registry"). Each simulation runs on the serial engine.
 // LASER_BENCH_PARALLEL selects the pool worker count (default
-// GOMAXPROCS; 1 recovers the serial harness) and LASER_BENCH_INTRA
-// overrides the intra-run split; results are assembled in index order,
-// so every rendered table and figure is byte-identical at any
-// parallelism on either axis. LASER_BENCH_ASCALE, LASER_BENCH_PSCALE
+// GOMAXPROCS; 1 recovers the serial harness); results are assembled in
+// index order, so every rendered table and figure is byte-identical at
+// any parallelism. LASER_BENCH_ASCALE, LASER_BENCH_PSCALE
 // and LASER_BENCH_RUNS scale the benchmark suite in bench_test.go.
 package repro

@@ -100,13 +100,12 @@ func RunAccuracy(cfg Config) (*AccuracyResult, error) {
 	names := workloadNames()
 	rows := make([]Tab1Row, len(names))
 	subs := make([]*AccuracyResult, len(names))
-	intra := intraRunWorkers(len(names))
 	err := forEach(len(names), func(i int) error {
 		sub := &AccuracyResult{
 			pipelines: make(map[string]*core.PipeState),
 			seconds:   make(map[string]float64),
 		}
-		row, err := accuracyRow(cfg, names[i], intra, sub)
+		row, err := accuracyRow(cfg, names[i], sub)
 		if err != nil {
 			return fmt.Errorf("accuracy %s: %w", names[i], err)
 		}
@@ -132,7 +131,7 @@ func RunAccuracy(cfg Config) (*AccuracyResult, error) {
 	return res, nil
 }
 
-func accuracyRow(cfg Config, name string, intra int, res *AccuracyResult) (Tab1Row, error) {
+func accuracyRow(cfg Config, name string, res *AccuracyResult) (Tab1Row, error) {
 	bugs := bugdb.For(name)
 	row := Tab1Row{Workload: name, Bugs: len(bugs)}
 	if len(bugs) > 0 {
@@ -140,7 +139,7 @@ func accuracyRow(cfg Config, name string, intra int, res *AccuracyResult) (Tab1R
 	}
 
 	// LASER: detection only (repair would freeze monitoring early).
-	lres, err := runLaser(name, cfg.AccuracyScale, false, false, laserSAV, 1, intra)
+	lres, err := runLaser(name, cfg.AccuracyScale, false, false, laserSAV, 1)
 	if err != nil {
 		return row, err
 	}
@@ -161,7 +160,7 @@ func accuracyRow(cfg Config, name string, intra int, res *AccuracyResult) (Tab1R
 	row.LaserFN, row.LaserFP = score(name, laserLocs)
 
 	// VTune.
-	v, err := runVTune(name, cfg.AccuracyScale, 1, intra)
+	v, err := runVTune(name, cfg.AccuracyScale, 1)
 	if err != nil {
 		return row, err
 	}
@@ -175,7 +174,7 @@ func accuracyRow(cfg Config, name string, intra int, res *AccuracyResult) (Tab1R
 	row.VTuneFN, row.VTuneFP = score(name, vtuneLocs)
 
 	// Sheriff-Detect.
-	sh, err := runSheriff(name, cfg.AccuracyScale, sheriff.Detect, false, intra)
+	sh, err := runSheriff(name, cfg.AccuracyScale, sheriff.Detect, false)
 	if err != nil {
 		return row, err
 	}

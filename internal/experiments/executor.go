@@ -13,8 +13,7 @@ import (
 
 // The executor owns the evaluation's run loop: it walks the registry in
 // print order, executes every selected spec's work units on the
-// inter-run worker pool (splitting leftover workers inside each
-// simulated machine), deduplicates units across experiments by cache
+// inter-run worker pool, deduplicates units across experiments by cache
 // key, accounts per-unit cache hits versus simulations, and assembles
 // each spec's artifacts only after its units are in the cache. Shard
 // mode (RunShard) runs the same enumeration but executes only a
@@ -48,11 +47,6 @@ type SpecResult struct {
 	// Failures are this spec's quarantined units (and its assembly
 	// failure, labelled "<assemble>", if any), in unit order.
 	Failures []UnitFailure
-	// EstCost sums the units' static cost estimates;
-	// SimulatedSeconds sums the observed wall time of the simulations
-	// this phase actually ran (0 on a fully warm cache).
-	EstCost          float64
-	SimulatedSeconds float64
 	// WallSeconds is the phase's wall time, execution plus assembly.
 	// Warm marks it as measured against an already-warm cache
 	// (Simulated == 0): it reflects cache assembly, not simulation
@@ -175,7 +169,7 @@ func newExecutor(pol runPolicy) *executor {
 // The stall consumes the whole attempt (it never proceeds to run the
 // unit): the run cache's singleflight would otherwise pin later
 // attempts behind the stalled computation.
-func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
+func (x *executor) runAttempt(u WorkUnit, attempt int) error {
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -192,7 +186,7 @@ func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
 			done <- err
 			return
 		}
-		done <- u.Run(intra)
+		done <- u.Run()
 	}()
 	deadline := x.pol.deadline(u.Cost)
 	timer := time.NewTimer(deadline)
@@ -211,14 +205,14 @@ func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
 // after failed attempts; (nil, nil) is a clean first-attempt success.
 // runUnit touches no executor state — it runs concurrently on the
 // worker pool and the serial spec loop folds its results in unit order.
-func (x *executor) runUnit(spec string, u WorkUnit, intra int) (*UnitFailure, *UnitRetry) {
+func (x *executor) runUnit(spec string, u WorkUnit) (*UnitFailure, *UnitRetry) {
 	var kinds []string
 	var lastErr error
 	for attempt := 1; attempt <= x.pol.maxAttempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(x.pol.backoffBase << (attempt - 2))
 		}
-		err := x.runAttempt(u, intra, attempt)
+		err := x.runAttempt(u, attempt)
 		if err == nil {
 			if len(kinds) == 0 {
 				return nil, nil
@@ -312,11 +306,10 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 				phase = append(phase, u)
 			}
 		}
-		intra := intraRunWorkers(len(phase))
 		fails := make([]*UnitFailure, len(phase))
 		retries := make([]*UnitRetry, len(phase))
 		forEach(len(phase), func(i int) error {
-			fails[i], retries[i] = x.runUnit(spec.Name, phase[i], intra)
+			fails[i], retries[i] = x.runUnit(spec.Name, phase[i])
 			return nil
 		})
 		x.fold(fails, retries)
@@ -328,7 +321,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		}
 		for _, u := range units {
 			id := u.Key.ID()
-			res.EstCost += u.Cost
 			if f := x.quarantined[id]; f != nil {
 				// A failing simulation is not memoized by the run cache, so
 				// a quarantined unit is neither a hit nor a simulation.
@@ -337,9 +329,8 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 				continue
 			}
 			executed[id] = true
-			if oc, cost, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed && phaseIDs[id] {
+			if oc, _, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed && phaseIDs[id] {
 				res.Simulated++
-				res.SimulatedSeconds += cost
 			} else {
 				res.CacheHits++
 			}
@@ -501,11 +492,10 @@ func RunShard(cfg Config, want func(exp string) bool, shard, n int, mode Partiti
 			shard, n, len(mine), len(units), modeName(mode), mineCost, allCost)
 	}
 	x := newExecutor(opt.policy())
-	intra := intraRunWorkers(len(mine))
 	fails := make([]*UnitFailure, len(mine))
 	retries := make([]*UnitRetry, len(mine))
 	forEach(len(mine), func(i int) error {
-		fails[i], retries[i] = x.runUnit("shard", mine[i], intra)
+		fails[i], retries[i] = x.runUnit("shard", mine[i])
 		return nil
 	})
 	x.fold(fails, retries)

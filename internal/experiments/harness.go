@@ -63,49 +63,35 @@ func QuickConfig() Config {
 	return Config{AccuracyScale: 3, PerfScale: 0.3, Runs: 1, SpeculativeRepair: true}
 }
 
-// envWarned dedupes the malformed-environment warnings: one stderr line
-// per distinct (variable, value) pair, so a harness that consults the
-// knobs on every phase does not spam.
-var envWarned sync.Map // "NAME=value" → struct{}
+// envWarned dedupes the malformed LASER_BENCH_PARALLEL warning: one
+// stderr line per distinct value, so a harness that consults the knob on
+// every phase does not spam.
+var envWarned sync.Map // value → struct{}
 
-// envWarnWriter is where envPositiveInt's warnings go; tests swap it to
+// envWarnWriter is where Parallelism's warnings go; tests swap it to
 // capture them.
 var envWarnWriter io.Writer = os.Stderr
 
-// envPositiveInt reads an environment knob that must hold an integer
-// ≥ minValue. Unset returns ok=false silently; set-but-malformed (not an
-// integer, or below the minimum — e.g. LASER_BENCH_PARALLEL=0 or
-// LASER_BENCH_INTRA=banana) also returns ok=false but warns once on
-// stderr naming the documented fallback, instead of silently behaving as
-// if the variable were unset.
-func envPositiveInt(name string, minValue int, fallback string) (int, bool) {
-	s := os.Getenv(name)
-	if s == "" {
-		return 0, false
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < minValue {
-		if _, dup := envWarned.LoadOrStore(name+"="+s, struct{}{}); !dup {
-			fmt.Fprintf(envWarnWriter,
-				"experiments: ignoring %s=%q: want an integer >= %d; falling back to %s\n",
-				name, s, minValue, fallback)
-		}
-		return 0, false
-	}
-	return v, true
-}
-
 // Parallelism returns the worker count of the experiment pool: the value
 // of LASER_BENCH_PARALLEL when set to a positive integer (1 recovers the
-// fully serial harness), otherwise GOMAXPROCS. Malformed or non-positive
-// values are rejected with a warning and fall back to GOMAXPROCS. Runs
-// share no mutable state, so independent (workload, tool, seed)
-// simulations parallelize freely; results are assembled by index, which
-// keeps every rendered table byte-identical to the serial order no
-// matter how the runs interleave.
+// fully serial harness), otherwise GOMAXPROCS. A malformed or
+// non-positive value warns once on stderr and falls back to GOMAXPROCS,
+// instead of silently behaving as if the variable were unset. Runs share
+// no mutable state, so independent (workload, tool, seed) simulations
+// parallelize freely; results are assembled by index, which keeps every
+// rendered table byte-identical to the serial order no matter how the
+// runs interleave. Each simulation runs on the serial engine: a phase
+// with fewer runs than workers leaves the rest idle, but a measured
+// split that moved them inside the machines lost wall time at CI scale.
 func Parallelism() int {
-	if v, ok := envPositiveInt("LASER_BENCH_PARALLEL", 1, "GOMAXPROCS"); ok {
-		return v
+	if s := os.Getenv("LASER_BENCH_PARALLEL"); s != "" {
+		if v, err := strconv.Atoi(s); err == nil && v >= 1 {
+			return v
+		}
+		if _, dup := envWarned.LoadOrStore(s, struct{}{}); !dup {
+			fmt.Fprintf(envWarnWriter,
+				"experiments: ignoring LASER_BENCH_PARALLEL=%q: want an integer >= 1; falling back to GOMAXPROCS\n", s)
+		}
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -160,35 +146,6 @@ func resetCache() { cache = runcache.NewMemory() }
 func fp(v any) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
 	return hex.EncodeToString(sum[:12])
-}
-
-// intraRunWorkers splits the host workers between run-level and intra-run
-// parallelism for a phase of `tasks` independent runs: with at least as
-// many runs as host workers, run-level parallelism alone saturates the
-// machine and every simulation stays serial (1); with fewer runs — a
-// small figure, a single high-scale simulation — the leftover workers go
-// *inside* each machine via the intra-run parallel engine, capped at
-// simCores (more segment workers than simulated cores cannot help).
-// LASER_BENCH_INTRA overrides the split (1 forces serial engines
-// everywhere); malformed or non-positive values are rejected with a
-// warning and fall back to the automatic split. Results are
-// byte-identical at any setting; only wall time changes.
-func intraRunWorkers(tasks int) int {
-	if v, ok := envPositiveInt("LASER_BENCH_INTRA", 1, "the automatic split"); ok {
-		return v
-	}
-	w := Parallelism()
-	if tasks < 1 {
-		tasks = 1
-	}
-	if w <= tasks {
-		return 1
-	}
-	n := w / tasks
-	if n > simCores {
-		n = simCores
-	}
-	return n
 }
 
 // forEach runs fn(0)..fn(n-1) on the worker pool. Each index's results
@@ -319,11 +276,10 @@ func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int
 // detect→repair epoch with monitoring frozen after a rewrite — the
 // legacy laser.Run semantics — so every rendered table and figure is
 // byte-identical to the one-shot path. Results are served from the run
-// cache when available; intra never enters the key (the simulated
-// statistics are byte-identical at any worker count).
-func runLaser(name string, scale float64, repairOn, spec bool, sav int, seed int64, intra int) (*laserRun, error) {
+// cache when available.
+func runLaser(name string, scale float64, repairOn, spec bool, sav int, seed int64) (*laserRun, error) {
 	key, cfg := laserKey(name, scale, repairOn, spec, sav, seed)
-	return runLaserKeyed(key, cfg, name, scale, intra)
+	return runLaserKeyed(key, cfg, name, scale)
 }
 
 // laserProbeKey derives the cache key and configuration of a
@@ -361,12 +317,12 @@ func laserProbeKey(name string, scale float64, sav int, seed int64) (runcache.Ke
 }
 
 // runLaserProbe executes one speculative probe run (laserProbeKey).
-func runLaserProbe(name string, scale float64, sav int, seed int64, intra int) (*laserRun, error) {
+func runLaserProbe(name string, scale float64, sav int, seed int64) (*laserRun, error) {
 	key, cfg := laserProbeKey(name, scale, sav, seed)
-	return runLaserKeyed(key, cfg, name, scale, intra)
+	return runLaserKeyed(key, cfg, name, scale)
 }
 
-func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float64, intra int) (*laserRun, error) {
+func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float64) (*laserRun, error) {
 	return runcache.Do(cache, key, func() (*laserRun, error) {
 		w, ok := workload.Get(name)
 		if !ok {
@@ -375,8 +331,7 @@ func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float6
 		img := w.Build(workload.Options{Scale: scale, HeapBias: laser.AttachBias})
 		s, err := laser.Attach(img,
 			laser.WithConfig(cfg),
-			laser.WithPostRepairMonitoring(false),
-			laser.WithIntraRunParallelism(intra))
+			laser.WithPostRepairMonitoring(false))
 		if err != nil {
 			return nil, err
 		}
@@ -417,10 +372,8 @@ func nativeKey(name string, scale float64, variant workload.Variant) runcache.Ke
 // stats. The result is cached; callers must treat it as read-only.
 // Figure 10 alone needs the same baseline for its LASER and VTune
 // columns Runs times each, and Figures 11/12/14 revisit many of the
-// same keys. intra only affects the first (computing) caller's wall
-// time — the simulated statistics are byte-identical at any worker
-// count, which is what makes the cache sound.
-func runNative(name string, scale float64, variant workload.Variant, intra int) (*machine.Stats, error) {
+// same keys.
+func runNative(name string, scale float64, variant workload.Variant) (*machine.Stats, error) {
 	key := nativeKey(name, scale, variant)
 	return runcache.Do(cache, key, func() (*machine.Stats, error) {
 		w, ok := workload.Get(name)
@@ -428,7 +381,7 @@ func runNative(name string, scale float64, variant workload.Variant, intra int) 
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
 		}
 		img := w.Build(workload.Options{Scale: scale, Variant: variant})
-		return laser.RunNativeParallel(img, simCores, intra)
+		return laser.RunNative(img, simCores)
 	})
 }
 
@@ -457,7 +410,7 @@ func vtuneKey(name string, scale float64, seed int64) (runcache.Key, vtune.Confi
 
 // runVTune executes one workload under the VTune model, through the run
 // cache.
-func runVTune(name string, scale float64, seed int64, intra int) (*vtuneOutcome, error) {
+func runVTune(name string, scale float64, seed int64) (*vtuneOutcome, error) {
 	key, vcfg := vtuneKey(name, scale, seed)
 	return runcache.Do(cache, key, func() (*vtuneOutcome, error) {
 		w, ok := workload.Get(name)
@@ -469,7 +422,6 @@ func runVTune(name string, scale float64, seed int64, intra int) (*vtuneOutcome,
 		ei, el := prof.MachineConfig()
 		m := machine.New(img.Prog, machine.Config{
 			Cores: simCores, Probe: prof, ExtraInstrCycles: ei, ExtraLoadCycles: el,
-			Parallelism: intra, PrivateData: img.PrivateRanges(),
 		}, img.Specs)
 		img.Init(m)
 		st, err := m.Run()
@@ -507,7 +459,7 @@ func sheriffKey(name string, scale float64, mode sheriff.Mode, force bool) runca
 // through the run cache. Gated workloads return their status without
 // running (or caching), unless force is set (the Figure 14 simlarge
 // runs).
-func runSheriff(name string, scale float64, mode sheriff.Mode, force bool, intra int) (*sheriffOutcome, error) {
+func runSheriff(name string, scale float64, mode sheriff.Mode, force bool) (*sheriffOutcome, error) {
 	w, ok := workload.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", name)
@@ -521,8 +473,7 @@ func runSheriff(name string, scale float64, mode sheriff.Mode, force bool, intra
 		det := sheriff.NewDetector(mode, sheriff.DefaultConfig(), img.ResolveLine)
 		m := machine.New(img.Prog, machine.Config{
 			Cores: simCores, PrivateMemory: true, OnCommit: det.OnCommit,
-			MaxCycles:   1 << 38,
-			Parallelism: intra, PrivateData: img.PrivateRanges(),
+			MaxCycles: 1 << 38,
 		}, img.Specs)
 		img.Init(m)
 		st, err := m.Run()
@@ -537,9 +488,9 @@ func runSheriff(name string, scale float64, mode sheriff.Mode, force bool, intra
 // normalizedRuntime runs a configuration Runs times (varying the sampling
 // seed) and returns the trimmed-mean runtime normalized to the native
 // trimmed mean.
-func normalizedRuntime(cfg Config, name string, intra int, run func(seed int64) (uint64, error)) (float64, error) {
+func normalizedRuntime(cfg Config, name string, run func(seed int64) (uint64, error)) (float64, error) {
 	native, err := repeated(cfg, func(int64) (uint64, error) {
-		st, err := runNative(name, cfg.PerfScale, workload.Native, intra)
+		st, err := runNative(name, cfg.PerfScale, workload.Native)
 		if err != nil {
 			return 0, err
 		}

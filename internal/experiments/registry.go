@@ -32,9 +32,8 @@ type WorkUnit struct {
 	// weighs units by it. Always positive, and identical in every
 	// process enumerating the same configuration.
 	Cost float64
-	// Run computes the unit (through the run cache) with the given
-	// intra-run worker count.
-	Run func(intra int) error
+	// Run computes the unit (through the run cache).
+	Run func() error
 }
 
 // Artifact is one named rendered output of an experiment.
@@ -124,7 +123,7 @@ func newUnitSet() *unitSet {
 	return &unitSet{seen: make(map[string]bool)}
 }
 
-func (u *unitSet) add(key runcache.Key, cost float64, label string, run func(intra int) error) {
+func (u *unitSet) add(key runcache.Key, cost float64, label string, run func() error) {
 	if id := key.ID(); !u.seen[id] {
 		u.seen[id] = true
 		u.units = append(u.units, WorkUnit{Key: key, Label: label, Cost: cost, Run: run})
@@ -134,7 +133,7 @@ func (u *unitSet) add(key runcache.Key, cost float64, label string, run func(int
 func (u *unitSet) native(name string, scale float64, v workload.Variant) {
 	u.add(nativeKey(name, scale, v), simCost("native", name, scale),
 		fmt.Sprintf("native/%s@%g/v%d", name, scale, v),
-		func(intra int) error { _, err := runNative(name, scale, v, intra); return err })
+		func() error { _, err := runNative(name, scale, v); return err })
 }
 
 func (u *unitSet) laser(name string, scale float64, repairOn, spec bool, sav int, seed int64) {
@@ -144,34 +143,34 @@ func (u *unitSet) laser(name string, scale float64, repairOn, spec bool, sav int
 		label += "/spec"
 	}
 	u.add(key, simCost("laser", name, scale), label,
-		func(intra int) error { _, err := runLaser(name, scale, repairOn, spec, sav, seed, intra); return err })
+		func() error { _, err := runLaser(name, scale, repairOn, spec, sav, seed); return err })
 }
 
 func (u *unitSet) laserProbe(name string, scale float64, sav int, seed int64) {
 	key, _ := laserProbeKey(name, scale, sav, seed)
 	u.add(key, simCost("laser", name, scale),
 		fmt.Sprintf("laser/%s@%g/probe/sav%d/seed%d", name, scale, sav, seed),
-		func(intra int) error { _, err := runLaserProbe(name, scale, sav, seed, intra); return err })
+		func() error { _, err := runLaserProbe(name, scale, sav, seed); return err })
 }
 
 func (u *unitSet) vtune(name string, scale float64, seed int64) {
 	key, _ := vtuneKey(name, scale, seed)
 	u.add(key, simCost("vtune", name, scale),
 		fmt.Sprintf("vtune/%s@%g/seed%d", name, scale, seed),
-		func(intra int) error { _, err := runVTune(name, scale, seed, intra); return err })
+		func() error { _, err := runVTune(name, scale, seed); return err })
 }
 
 func (u *unitSet) sheriff(name string, scale float64, mode sheriff.Mode, force bool) {
 	u.add(sheriffKey(name, scale, mode, force), simCost("sheriff", name, scale),
 		fmt.Sprintf("sheriff/%s@%g/mode%d", name, scale, mode),
-		func(intra int) error { _, err := runSheriff(name, scale, mode, force, intra); return err })
+		func() error { _, err := runSheriff(name, scale, mode, force); return err })
 }
 
 func (u *unitSet) char(cat CharCategory, variant int) {
 	key, _ := charKey(cat, variant)
 	u.add(key, simCost("char", string(cat), 0),
 		fmt.Sprintf("char/%s/%d", cat, variant),
-		func(int) error { _, err := runCharCase(cat, variant); return err })
+		func() error { _, err := runCharCase(cat, variant); return err })
 }
 
 // runsOf clamps cfg.Runs like every runner does.

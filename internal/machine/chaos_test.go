@@ -85,10 +85,11 @@ func TestRunPanicContainedSerial(t *testing.T) {
 func TestEnginePanicContainedAndJoined(t *testing.T) {
 	prog, specs := chaosProg(50_000, func(in *isa.Instr) { in.Op = isa.Op(250) })
 	base := runtime.NumGoroutine()
-	m := New(prog, Config{Cores: 2, Parallelism: 4, DispatchThreshold: 1}, specs)
+	m := New(prog, Config{Cores: 2, Parallelism: 4}, specs)
 	if !m.IntraRunParallel() {
 		t.Fatal("engine not engaged")
 	}
+	forceDispatch(m)
 	_, err := m.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {

@@ -68,4 +68,3 @@ var costTable = [8]uint64{
 	coherence.Upgrade:         CostUpgrade,
 	7:                         CostMemHitLocal, // out-of-range guard value
 }
-

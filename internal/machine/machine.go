@@ -82,16 +82,11 @@ type Config struct {
 	Parallelism int
 	// PrivateData lists, per thread id, heap ranges only that thread
 	// ever touches (per-thread slices of shared allocations, private
-	// arenas). The sharing analysis and the parallel engine treat these
-	// lines — plus the thread stacks, when stack addresses provably do
-	// not escape — as thread-private. Declaring a range another thread
-	// in fact touches is a construction bug; enable ValidateSharing in
-	// tests to catch it.
+	// arenas). The parallel engine treats these lines — plus the thread
+	// stacks, when stack addresses provably do not escape — as
+	// thread-private. Declaring a range another thread in fact touches
+	// is a construction bug; enable ValidateSharing in tests to catch it.
 	PrivateData [][]mem.Range
-	// DispatchThreshold overrides the engine's inline-vs-worker segment
-	// length cutoff, in instructions (0 = default). Tests lower it to
-	// force worker-pool traffic on tiny programs.
-	DispatchThreshold int
 	// ValidateSharing makes the parallel engine panic when any thread
 	// touches a line inside another thread's declared private ranges.
 	ValidateSharing bool
@@ -639,14 +634,8 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 	clk := &m.clock[c]
 	priv := m.cfg.PrivateMemory
 	var eng *engine
-	var row []isa.SharingClass
 	if routed {
 		eng = m.eng
-		if m.progGen == 0 {
-			// The static class row skips the private-table probe for
-			// provably-shared PCs; it indexes the original program only.
-			row = eng.sharing.Row(t.id)
-		}
 	}
 	steps := uint64(0)
 	for {
@@ -706,11 +695,10 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 				// memLoad and access wrapper frames. In the engine's
 				// routed mode, thread-private lines charge from the
 				// thread-local first-touch table instead of the
-				// directory (the static class row skips the probe for
-				// provably-shared PCs).
+				// directory.
 				cc := uint64(0)
 				private := false
-				if eng != nil && (row == nil || row[t.pc] != isa.ShareShared || eng.validate) {
+				if eng != nil {
 					cc, private = eng.privAccess(t, addr)
 				}
 				if private {
@@ -748,7 +736,7 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 			if !priv {
 				cc := uint64(0)
 				private := false
-				if eng != nil && (row == nil || row[t.pc] != isa.ShareShared || eng.validate) {
+				if eng != nil {
 					cc, private = eng.privAccess(t, addr)
 				}
 				if private {
@@ -807,11 +795,9 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 			break
 		}
 		if m.progGen != gen {
-			// A callback hot-swapped the program (and remapped pcs); the
-			// class row indexes the original program only.
+			// A callback hot-swapped the program (and remapped pcs).
 			ops = m.ops
 			gen = m.progGen
-			row = nil
 		}
 		if ck := *clk; ck >= limit {
 			if ck >= hard || !ops[t.pc].kind.local() {

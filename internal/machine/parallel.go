@@ -51,17 +51,17 @@ import (
 // (progGen == 0) and degrades to register-only segments afterwards —
 // exactly the serial scheduler's original run-ahead rule.
 type engine struct {
-	m       *Machine
-	sharing *isa.Sharing
-	priv    []*privSet // per thread; nil for threads with no private ranges
-	views   []*memView // per core
-	state   []coreState
-	workers int
+	m        *Machine
+	priv     []*privSet // per thread; nil for threads with no private ranges
+	views    []*memView // per core
+	state    []coreState
+	workers  int
+	validate bool
 	// threshold is the predicted segment length (instructions) above
 	// which a segment is worth shipping to the worker pool instead of
-	// running inline on the scheduler goroutine.
+	// running inline on the scheduler goroutine: dispatchThreshold, which
+	// tests lower to push tiny programs through the pool.
 	threshold float64
-	validate  bool
 
 	// mu guards the shared page table while segments execute: page
 	// creation is the only structural mutation workers and the scheduler
@@ -78,11 +78,11 @@ type engine struct {
 	fail error
 }
 
-// defaultDispatchThreshold is the segment length, in instructions, at
+// dispatchThreshold is the predicted segment length, in instructions, at
 // which handing the segment to a worker beats running it inline: a
 // dispatch costs on the order of a microsecond of channel traffic and
 // wakeups, which ~500 simulated instructions amortize.
-const defaultDispatchThreshold = 512
+const dispatchThreshold = 512
 
 // serialStepThreshold is the predicted private-run length below which a
 // core is cheaper to drive with plain serial stepping (to the exact
@@ -316,7 +316,7 @@ func newEngine(m *Machine, specs []ThreadSpec) *engine {
 		for r, v := range s.Regs {
 			regs[r] = v
 		}
-		seeds[t] = isa.ThreadSeed{Entry: s.Entry, Regs: regs}
+		seeds[t] = isa.ThreadSeed{Regs: regs}
 	}
 	stackSafe := !isa.StackAddrEscapes(m.prog, seeds, stacks)
 	if stackSafe {
@@ -332,30 +332,23 @@ func newEngine(m *Machine, specs []ThreadSpec) *engine {
 			}
 		}
 	}
-	for t := range seeds {
-		rs := append([]mem.Range(nil), ranges[t]...)
-		if stackSafe {
-			rs = append(rs, stacks[t])
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
-		seeds[t].Private = rs
-	}
 
 	e := &engine{
 		m:         m,
-		sharing:   isa.AnalyzeSharing(m.prog, seeds),
 		priv:      make([]*privSet, threads),
 		views:     make([]*memView, m.cfg.Cores),
 		state:     make([]coreState, m.cfg.Cores),
 		workers:   min(m.cfg.Parallelism, threads),
-		threshold: float64(m.cfg.DispatchThreshold),
 		validate:  m.cfg.ValidateSharing,
+		threshold: dispatchThreshold,
 	}
-	if e.threshold <= 0 {
-		e.threshold = defaultDispatchThreshold
-	}
-	for t := range seeds {
-		e.priv[t] = newPrivSet(seeds[t].Private)
+	for t := range e.priv {
+		rs := ranges[t]
+		if stackSafe {
+			rs = append(rs, stacks[t])
+		}
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
+		e.priv[t] = newPrivSet(rs)
 	}
 	for c := range e.views {
 		e.views[c] = newMemView(m.data, &e.mu)
@@ -670,7 +663,6 @@ func (e *engine) runSegment(c int) {
 	t := j.t
 	m := e.m
 	ops, costs := m.ops, m.costs
-	row := e.sharing.Row(t.id)
 	ps := e.priv[t.id]
 	view := e.views[c]
 	clk, hard := j.clock, j.hard
@@ -746,9 +738,6 @@ loop:
 				cost += CostMemHitLocal
 				break
 			}
-			if row[t.pc] == isa.ShareShared {
-				break loop
-			}
 			r := ps.find(addr)
 			if r == nil || addr+mem.Addr(o.arg) > r.end {
 				break loop
@@ -775,9 +764,6 @@ loop:
 				t.overlay.Put(addr, uint8(o.arg), v)
 				cost += CostMemHitLocal
 				break
-			}
-			if row[t.pc] == isa.ShareShared {
-				break loop
 			}
 			r := ps.find(addr)
 			if r == nil || addr+mem.Addr(o.arg) > r.end {

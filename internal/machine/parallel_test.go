@@ -22,6 +22,17 @@ func contendedPrivate() [][]mem.Range {
 	return out
 }
 
+// forceDispatch lowers m's engine dispatch threshold to one instruction,
+// so every segment of a tiny test program goes through the worker pool
+// instead of running inline.
+func forceDispatch(m *Machine) *Machine {
+	m.eng.threshold = 1
+	for c := range m.eng.state {
+		m.eng.state[c].ema = 1
+	}
+	return m
+}
+
 // runEngines runs the same program serially and under the parallel engine
 // at several worker counts, and demands bit-identical statistics,
 // coherence counters, HITM ground truth, and sampled memory.
@@ -32,14 +43,16 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 		counts [7]uint64
 		mem    []uint64
 	}
-	run := func(par, threshold int) outcome {
+	run := func(par int, force bool) outcome {
 		c := cfg
 		c.Parallelism = par
-		c.DispatchThreshold = threshold
 		c.ValidateSharing = true
 		m := New(prog, c, specs)
 		if par > 1 && !m.IntraRunParallel() {
 			t.Fatalf("parallel engine not engaged at Parallelism=%d", par)
+		}
+		if force {
+			forceDispatch(m)
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -55,33 +68,33 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 		}
 		return o
 	}
-	want := run(1, 0)
+	want := run(1, false)
 	for _, par := range []int{2, 3, 8} {
-		// Threshold 1 forces every segment through the worker pool;
-		// threshold 0 (default) exercises the adaptive inline path.
-		for _, threshold := range []int{1, 0} {
-			got := run(par, threshold)
+		// Forced dispatch sends every segment through the worker pool;
+		// the default threshold exercises the adaptive inline path.
+		for _, force := range []bool{true, false} {
+			got := run(par, force)
 			if want.st.Cycles != got.st.Cycles || want.st.Instructions != got.st.Instructions ||
 				want.st.MemAccesses != got.st.MemAccesses {
-				t.Fatalf("par=%d thr=%d: cycles/instr/mem = %d/%d/%d, want %d/%d/%d",
-					par, threshold, got.st.Cycles, got.st.Instructions, got.st.MemAccesses,
+				t.Fatalf("par=%d force=%v: cycles/instr/mem = %d/%d/%d, want %d/%d/%d",
+					par, force, got.st.Cycles, got.st.Instructions, got.st.MemAccesses,
 					want.st.Cycles, want.st.Instructions, want.st.MemAccesses)
 			}
 			if !reflect.DeepEqual(want.st.CoreCycles, got.st.CoreCycles) {
-				t.Fatalf("par=%d thr=%d: core cycles %v, want %v", par, threshold, got.st.CoreCycles, want.st.CoreCycles)
+				t.Fatalf("par=%d force=%v: core cycles %v, want %v", par, force, got.st.CoreCycles, want.st.CoreCycles)
 			}
 			if want.counts != got.counts {
-				t.Fatalf("par=%d thr=%d: coherence counts %v, want %v", par, threshold, got.counts, want.counts)
+				t.Fatalf("par=%d force=%v: coherence counts %v, want %v", par, force, got.counts, want.counts)
 			}
 			if !reflect.DeepEqual(want.st.HITMByPC, got.st.HITMByPC) {
-				t.Fatalf("par=%d thr=%d: HITMByPC diverged", par, threshold)
+				t.Fatalf("par=%d force=%v: HITMByPC diverged", par, force)
 			}
 			if want.st.Flushes != got.st.Flushes || want.st.SSBStores != got.st.SSBStores ||
 				want.st.Commits != got.st.Commits || want.st.ProbeCycles != got.st.ProbeCycles {
-				t.Fatalf("par=%d thr=%d: SSB/commit/probe stats diverged: %+v vs %+v", par, threshold, got.st, want.st)
+				t.Fatalf("par=%d force=%v: SSB/commit/probe stats diverged: %+v vs %+v", par, force, got.st, want.st)
 			}
 			if !reflect.DeepEqual(want.mem, got.mem) {
-				t.Fatalf("par=%d thr=%d: final memory diverged", par, threshold)
+				t.Fatalf("par=%d force=%v: final memory diverged", par, force)
 			}
 		}
 	}
@@ -175,13 +188,13 @@ func TestEngineStackPrivate(t *testing.T) {
 // polling harness requires.
 func TestEngineSliceInvariance(t *testing.T) {
 	prog, specs := contendedProg(2000)
-	cfg := Config{Cores: 4, Parallelism: 4, DispatchThreshold: 1, PrivateData: contendedPrivate()}
-	whole := New(prog, cfg, specs)
+	cfg := Config{Cores: 4, Parallelism: 4, PrivateData: contendedPrivate()}
+	whole := forceDispatch(New(prog, cfg, specs))
 	wst, err := whole.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced := New(prog, cfg, specs)
+	sliced := forceDispatch(New(prog, cfg, specs))
 	var target uint64
 	for {
 		target += 10_000
@@ -420,8 +433,8 @@ func TestEngineValidateSharingCatchesLies(t *testing.T) {
 	// Declare the *shared* line private to thread 0 — threads 1..3 hit it
 	// every iteration.
 	decl := [][]mem.Range{{{Start: mem.HeapBase, End: mem.HeapBase + 64}}}
-	m := New(prog, Config{Cores: 4, Parallelism: 4, DispatchThreshold: 1,
-		PrivateData: decl, ValidateSharing: true}, specs)
+	m := forceDispatch(New(prog, Config{Cores: 4, Parallelism: 4,
+		PrivateData: decl, ValidateSharing: true}, specs))
 	_, err := m.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {

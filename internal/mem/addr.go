@@ -55,9 +55,9 @@ const (
 // ±InstrBytes neighborhood.
 const InstrBytes = 4
 
-// Range is a half-open address range [Start, End). The sharing analysis
-// and the intra-run parallel engine describe thread-private data —
-// stacks, per-thread heap slices — as Range lists.
+// Range is a half-open address range [Start, End). The intra-run
+// parallel engine describes thread-private data — stacks, per-thread
+// heap slices — as Range lists.
 type Range struct {
 	Start, End Addr
 }

@@ -242,10 +242,12 @@ func TestStepRunPauseLifecycle(t *testing.T) {
 
 func TestPauseParksARun(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSessionCycles: 1 << 40})
-	// Long enough that pause lands mid-run.
+	// About 32M cycles: long enough that a pause 5 ms in lands mid-run
+	// (the whole test takes ~0.4 s natively), short enough that the run
+	// finishes well inside waitState's 30 s under -race (~6 s).
 	poll := uint64(50_000)
 	req := AttachRequest{
-		Custom:  &CustomImage{Threads: 2, Iters: 4_000_000, Stride: 8, Alus: 8},
+		Custom:  &CustomImage{Threads: 2, Iters: 400_000, Stride: 8, Alus: 8},
 		Options: AttachOptions{PollInterval: &poll},
 	}
 	st := attachT(t, ts.URL, req, http.StatusCreated)
@@ -257,9 +259,6 @@ func TestPauseParksARun(t *testing.T) {
 		t.Fatalf("pause = %d", resp.StatusCode)
 	}
 	paused := waitState(t, ts.URL, st.ID, "paused")
-	if paused.Cycles == 0 {
-		t.Fatal("paused at cycle 0")
-	}
 	// Stepping a paused session works (and would resume it poll by poll).
 	var after sessionStatus
 	if resp := doJSON(t, http.MethodPost, ts.URL+"/sessions/"+st.ID+"/step", stepRequest{Polls: 2}, &after); resp.StatusCode != 200 {
@@ -272,7 +271,10 @@ func TestPauseParksARun(t *testing.T) {
 	if resp := doJSON(t, http.MethodPost, ts.URL+"/sessions/"+st.ID+"/run", nil, nil); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resume = %d", resp.StatusCode)
 	}
-	waitState(t, ts.URL, st.ID, "done")
+	final := waitState(t, ts.URL, st.ID, "done")
+	if paused.Cycles == 0 || paused.Cycles >= final.Cycles {
+		t.Fatalf("pause did not land mid-run: paused at cycle %d of %d", paused.Cycles, final.Cycles)
+	}
 }
 
 func TestBudgetClampTurnsTerminal(t *testing.T) {

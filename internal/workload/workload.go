@@ -86,8 +86,8 @@ func (img *Image) setData(addr mem.Addr, size uint8, val uint64) {
 }
 
 // addPrivate declares [start, start+size) as touched only by thread tid
-// for the workload's whole lifetime — the allocation metadata the static
-// sharing analysis and the intra-run parallel engine consume. Only whole
+// for the workload's whole lifetime — the allocation metadata the
+// intra-run parallel engine consumes. Only whole
 // cache lines inside the range count (privacy is a line property), so
 // packed per-thread slots that share a line must not be declared. A
 // declaration another thread in fact touches is a workload bug; the

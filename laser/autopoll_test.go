@@ -13,8 +13,8 @@ func TestAutoPollIntervalMath(t *testing.T) {
 		scale float64
 		want  uint64
 	}{
-		{1, base},    // full fidelity: exactly the paper's cadence
-		{2.5, base},  // scaling up never shortens the cadence
+		{1, base},   // full fidelity: exactly the paper's cadence
+		{2.5, base}, // scaling up never shortens the cadence
 		{0.5, base / 2},
 		{0.3, 600_000},
 		{1e-9, 1}, // floor: the cadence never collapses to zero
@@ -31,12 +31,12 @@ func TestAutoTrialBudgetMath(t *testing.T) {
 		scale float64
 		want  uint64
 	}{
-		{1, 8_000_000},    // full fidelity: the historical 4× poll interval
-		{2.5, 8_000_000},  // scaling up never stretches the cadence or the budget
-		{0.5, 4_000_000},  // proportional band: budget follows the cadence
+		{1, 8_000_000},   // full fidelity: the historical 4× poll interval
+		{2.5, 8_000_000}, // scaling up never stretches the cadence or the budget
+		{0.5, 4_000_000}, // proportional band: budget follows the cadence
 		{0.2, 1_600_000},
-		{0.05, 400_000},   // exactly the floor
-		{0.01, 400_000},   // below: a trial still outlives two quanta
+		{0.05, 400_000}, // exactly the floor
+		{0.01, 400_000}, // below: a trial still outlives two quanta
 		{1e-9, 400_000},
 	} {
 		if got := AutoTrialBudget(base, tc.scale); got != tc.want {

@@ -159,13 +159,12 @@ func TestGoldenDigestsAllWorkloads(t *testing.T) {
 				for _, par := range []int{1, 2} {
 					img := w.Build(workload.Options{Scale: goldenScale})
 					m := machine.New(img.Prog, machine.Config{
-						Cores:             4,
-						Parallelism:       par,
-						DispatchThreshold: 64,
-						PrivateData:       img.PrivateRanges(),
-						ValidateSharing:   true,
-						ExtraInstrCycles:  mode.extraInstr,
-						ExtraLoadCycles:   mode.extraLoad,
+						Cores:            4,
+						Parallelism:      par,
+						PrivateData:      img.PrivateRanges(),
+						ValidateSharing:  true,
+						ExtraInstrCycles: mode.extraInstr,
+						ExtraLoadCycles:  mode.extraLoad,
 					}, img.Specs)
 					img.Init(m)
 					st, err := m.Run()

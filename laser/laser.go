@@ -178,9 +178,7 @@ func RunNative(img *workload.Image, cores int) (*machine.Stats, error) {
 
 // RunNativeParallel is RunNative with intra-run parallelism: workers > 1
 // executes the single simulated machine on that many host threads, with
-// results byte-identical to RunNative. It is how the experiment harness
-// keeps the hardware busy when a figure has fewer runnable simulations
-// than host cores.
+// results byte-identical to RunNative.
 func RunNativeParallel(img *workload.Image, cores, workers int) (*machine.Stats, error) {
 	m := machine.New(img.Prog, machine.Config{
 		Cores:       cores,

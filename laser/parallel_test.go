@@ -32,11 +32,10 @@ func TestNativeEngineEquivalenceAllWorkloads(t *testing.T) {
 				run := func(par int) *machine.Stats {
 					img := w.Build(workload.Options{Scale: scale, Variant: v})
 					m := machine.New(img.Prog, machine.Config{
-						Cores:             4,
-						Parallelism:       par,
-						DispatchThreshold: 64,
-						PrivateData:       img.PrivateRanges(),
-						ValidateSharing:   true,
+						Cores:           4,
+						Parallelism:     par,
+						PrivateData:     img.PrivateRanges(),
+						ValidateSharing: true,
 					}, img.Specs)
 					img.Init(m)
 					st, err := m.Run()
