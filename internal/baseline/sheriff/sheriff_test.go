@@ -216,7 +216,7 @@ func TestMaskedCommitKeepsSilentStores(t *testing.T) {
 	// itself, so the silent store survives.
 	ssb := machine.NewSSB()
 	ssb.Put(0x40, 1, 5) // silent store of 5 (same value as before)
-	v, hit := ssb.Get(0x40, 1, func(mem.Addr) byte { return 9 })
+	v, hit := ssb.Get(0x40, 1, func(mem.Addr, uint8) uint64 { return 9 })
 	if !hit || v != 5 {
 		t.Errorf("masked buffer lost the silent store: v=%d hit=%v", v, hit)
 	}

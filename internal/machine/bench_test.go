@@ -140,3 +140,46 @@ func BenchmarkMemoryLoadStore(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkSSB measures the store buffer's per-access cost on its hot
+// shapes; one op is one access at a fixed address, as in a repaired
+// loop. Every case must run at 0 allocs/op.
+func BenchmarkSSB(b *testing.B) {
+	backing := newMemory()
+	const line = mem.HeapBase + 0x40
+	backing.store(line, 8, 0x0123456789abcdef)
+	// newBuf returns a buffer holding the 8-byte slot at line+8, the
+	// first half of the slot at line+16, and one other line.
+	newBuf := func() *SSB {
+		s := NewSSB()
+		s.Put(line+8, 8, 1)
+		s.Put(line+16, 4, 2)
+		s.Put(line+0x100, 8, 3)
+		return s
+	}
+	var sink uint64
+	load := func(b *testing.B, addr mem.Addr) {
+		s := newBuf()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := s.Get(addr, 8, backing.load)
+			sink += v
+		}
+	}
+	store := func(b *testing.B, addr mem.Addr) {
+		s := newBuf()
+		s.Put(addr, 8, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Put(addr, 8, uint64(i))
+		}
+	}
+	b.Run("store_hit", func(b *testing.B) { store(b, line+8) })
+	b.Run("store_spanning", func(b *testing.B) { store(b, line+60) })
+	b.Run("load_full_hit", func(b *testing.B) { load(b, line+8) })
+	b.Run("load_partial_hit", func(b *testing.B) { load(b, line+16) })
+	b.Run("load_miss", func(b *testing.B) { load(b, line+32) })
+	_ = sink
+}

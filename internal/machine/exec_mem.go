@@ -77,7 +77,7 @@ func (m *Machine) noteHITM(t *thread, c int, in *isa.Instr, addr mem.Addr, write
 // memLoad implements OpLoad in both the normal and private-memory modes.
 func (m *Machine) memLoad(t *thread, c int, in *isa.Instr, addr mem.Addr) (uint64, uint64) {
 	if m.cfg.PrivateMemory {
-		v, _ := t.overlay.Get(addr, in.Size, m.data.loadByte)
+		v, _ := t.overlay.Get(addr, in.Size, m.data.load)
 		return v, CostMemHitLocal
 	}
 	cost := m.access(t, c, in, addr, false)
@@ -211,7 +211,7 @@ func (m *Machine) ssbLoad(t *thread, c int, in *isa.Instr, addr mem.Addr) (uint6
 		cost := m.access(t, c, in, addr, false)
 		return m.data.load(addr, in.Size), cost + CostSSBIdle
 	}
-	v, hit := t.ssb.Get(addr, in.Size, m.data.loadByte)
+	v, hit := t.ssb.Get(addr, in.Size, m.data.load)
 	cost := uint64(CostSSBOp)
 	if !hit {
 		// Entirely from shared memory: a normal coherent load.

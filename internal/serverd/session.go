@@ -63,6 +63,7 @@ type eventLog struct {
 	base     uint64        // seq of frames[0]
 	frames   [][]byte      // canonical SSE frames, frames[i] has seq base+i
 	stamps   []int64       // append wall time (ns), parallel to frames
+	dead     int           // rotated-out slots still ahead of frames in its backing array
 	max      int           // backlog cap (frame count)
 	terminal bool          // no further appends: stream complete
 	wake     chan struct{} // closed and replaced on every append/terminal
@@ -85,9 +86,20 @@ func (l *eventLog) append(e laser.Event, now int64) (droppedNow int) {
 	l.frames = append(l.frames, EncodeFrame(seq, e))
 	l.stamps = append(l.stamps, now)
 	if n := len(l.frames) - l.max; n > 0 {
+		// Rotate by reslicing. Readers may still hold slices of the
+		// backing array, so it is never written below len: once the
+		// dead prefix is as long as the live part, the live part moves
+		// to a fresh array with room for as many appends again, which
+		// keeps rotation amortized O(1).
 		l.base += uint64(n)
-		l.frames = append([][]byte(nil), l.frames[n:]...)
-		l.stamps = append([]int64(nil), l.stamps[n:]...)
+		l.frames = l.frames[n:]
+		l.stamps = l.stamps[n:]
+		l.dead += n
+		if l.dead >= len(l.frames) {
+			l.frames = append(make([][]byte, 0, 2*len(l.frames)), l.frames...)
+			l.stamps = append(make([]int64, 0, 2*len(l.stamps)), l.stamps...)
+			l.dead = 0
+		}
 		l.dropped += uint64(n)
 		droppedNow = n
 	}
@@ -140,6 +152,7 @@ func (l *eventLog) seed(base uint64, frames [][]byte, stamps []int64) {
 	l.base = base
 	l.frames = frames
 	l.stamps = stamps
+	l.dead = 0
 	l.dropped = base
 	l.mu.Unlock()
 }

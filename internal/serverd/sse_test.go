@@ -306,3 +306,76 @@ func TestSSEBacklogRotationReports410(t *testing.T) {
 		t.Fatalf("retained-window resume missing eof(total=%d):\n%s", done.Events, raw)
 	}
 }
+
+// TestEventLogRotationKeepsWindow appends many times the backlog cap and
+// checks after every append that the log retains exactly the newest
+// frames, numbered contiguously, with the 410 boundary just below them —
+// and that a reader's earlier slice of the log is never overwritten.
+func TestEventLogRotationKeepsWindow(t *testing.T) {
+	const max, n = 64, 64*10 + 7
+	l := newEventLog(max)
+	var held [][]byte
+	var heldCopy [][]byte
+	for i := 0; i < n; i++ {
+		wantDropped := 0
+		if i >= max {
+			wantDropped = 1
+		}
+		if got := l.append(laser.SampleBatch{}, int64(i)); got != wantDropped {
+			t.Fatalf("append %d dropped %d, want %d", i, got, wantDropped)
+		}
+		total := uint64(i + 1)
+		first := uint64(0)
+		if total > max {
+			first = total - max
+		}
+		if got := l.retained(); got != int(total-first) {
+			t.Fatalf("after %d appends retained %d, want %d", total, got, total-first)
+		}
+		frames, stamps, gotTotal, _, gone, _ := l.read(first)
+		if gone || gotTotal != total || len(frames) != int(total-first) || len(stamps) != len(frames) {
+			t.Fatalf("read(%d) after %d appends: gone=%v total=%d frames=%d stamps=%d",
+				first, total, gone, gotTotal, len(frames), len(stamps))
+		}
+		for j, f := range frames {
+			seq := first + uint64(j)
+			if !bytes.HasPrefix(f, []byte("id: "+strconv.FormatUint(seq, 10)+"\n")) || stamps[j] != int64(seq) {
+				t.Fatalf("after %d appends frame %d = %q stamp %d, want seq %d", total, j, f, stamps[j], seq)
+			}
+		}
+		if first > 0 {
+			if _, _, _, _, gone, _ := l.read(first - 1); !gone {
+				t.Fatalf("after %d appends read(%d) is not gone", total, first-1)
+			}
+		}
+		if i == max+3 {
+			held = frames
+			for _, f := range frames {
+				heldCopy = append(heldCopy, bytes.Clone(f))
+			}
+		}
+	}
+	if total, dropped := l.counts(); total != n || dropped != n-max {
+		t.Fatalf("counts = %d, %d; want %d, %d", total, dropped, n, n-max)
+	}
+	for j := range held {
+		if !bytes.Equal(held[j], heldCopy[j]) {
+			t.Fatalf("a reader's frame %d changed under rotation: %q, was %q", j, held[j], heldCopy[j])
+		}
+	}
+}
+
+// BenchmarkEventLogAppendAtCap measures one append to a log already at
+// the default backlog cap, the steady state of a long-running session.
+func BenchmarkEventLogAppendAtCap(b *testing.B) {
+	const max = 65536
+	l := newEventLog(max)
+	for i := 0; i < max; i++ {
+		l.append(laser.SampleBatch{}, int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.append(laser.SampleBatch{}, int64(i))
+	}
+}

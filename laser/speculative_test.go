@@ -3,6 +3,7 @@ package laser_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/repair"
@@ -70,6 +71,31 @@ func TestSpeculativeRepairDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resA.RepairTrials, resB.RepairTrials) {
 		t.Errorf("trial results diverged:\n%+v\n%+v", resA.RepairTrials, resB.RepairTrials)
+	}
+}
+
+// TestSpeculativeRepairIndependentOfGOMAXPROCS pins the trial race
+// against scheduling: every fork is decoded, built and run in its own
+// goroutine, so a session raced on one OS thread and on four must agree
+// on the trial results, the winner and every event.
+func TestSpeculativeRepairIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(procs int) (*laser.Result, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return speculativeRun(t, 1)
+	}
+	resA, eventsA := run(1)
+	resB, eventsB := run(4)
+	if len(resA.RepairTrials) != len(repair.Candidates()) {
+		t.Fatalf("got %d trials, want the full slate of %d", len(resA.RepairTrials), len(repair.Candidates()))
+	}
+	if !reflect.DeepEqual(resA.RepairTrials, resB.RepairTrials) {
+		t.Errorf("trial results diverged:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", resA.RepairTrials, resB.RepairTrials)
+	}
+	if resA.RepairWinner != resB.RepairWinner {
+		t.Errorf("winners diverged: %q vs %q", resA.RepairWinner, resB.RepairWinner)
+	}
+	if !reflect.DeepEqual(eventsA, eventsB) {
+		t.Errorf("event streams diverged: %d vs %d events", len(eventsA), len(eventsB))
 	}
 }
 

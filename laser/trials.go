@@ -4,11 +4,12 @@ package laser
 // installing the default SSB rewrite outright, the session forks itself
 // from the trigger cut — one fork per repair candidate, plus the
 // explicit no-op baseline — runs each fork for a bounded cycle budget,
-// and applies the candidate whose *measured* cycles won. The forks are
-// rebuilt from one whole-session snapshot, each from its own decoded
-// copy, so no mutable structure is shared between the parent and any
-// trial (or between trials); the parent's own state is untouched until
-// the winner is installed at exactly the cut the trials measured.
+// and applies the candidate whose *measured* cycles won. Each fork is
+// built and run in its own goroutine, from its own decoded copy of one
+// whole-session snapshot, so no mutable structure is shared between the
+// parent and any trial (or between trials); the parent's own state is
+// untouched until the winner is installed at exactly the cut the trials
+// measured.
 //
 // Determinism: every fork is an independent deterministic simulation
 // from an identical snapshot, results are collected by candidate index
@@ -18,6 +19,7 @@ package laser
 // byte, regardless of how the trial goroutines interleave.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,69 +85,51 @@ func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, error) {
 	}
 	s.emit(RepairTrialStarted{common: s.at(), Candidates: names, Budget: budget})
 
-	// Build the forks sequentially — each from its own decoded snapshot
-	// copy — then run them concurrently; each is an independent machine.
+	// One goroutine per candidate decodes its own snapshot copy, builds
+	// its fork, applies the candidate and runs the trial; each fork is an
+	// independent machine and results land by candidate index.
 	results := make([]repair.TrialResult, len(cands))
-	forks := make([]*Session, len(cands))
-	for i, cand := range cands {
-		results[i].Candidate = cand.Name()
-		snap, err := DecodeSessionState(blob)
-		if err != nil {
-			return nil, err
-		}
-		f, err := s.fork(snap)
-		if err != nil {
-			return nil, err
-		}
-		if cand.Name() != repair.DeclineName {
-			if aerr := f.ctl.ApplyCandidate(cand, pcs); aerr != nil {
-				// The candidate refused the region; it is out of the
-				// race, measured by nothing.
-				results[i].Err = aerr.Error()
-				f.Close()
-				continue
-			}
-			f.repairApplied = true
-			f.refreshRemap()
-		}
-		forks[i] = f
-	}
+	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
-	for i := range forks {
-		if forks[i] == nil {
-			continue
-		}
+	for i, cand := range cands {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i] = runTrial(forks[i], results[i].Candidate, budget, baseCycles, baseInstr, baseHITM)
-		}(i)
+			results[i], errs[i] = s.runCandidate(blob, cand, pcs, budget, baseCycles, baseInstr, baseHITM)
+		}()
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	return results, nil
 }
 
-// fork builds a trial session from a snapshot, reusing the parent's
-// image and resolved configuration verbatim (so the engine kind always
-// matches). The fork has no observers and an inert repair trigger.
-func (s *Session) fork(st *SessionState) (*Session, error) {
-	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair}
-	f, err := newSession(s.img, set)
+// runCandidate builds the fork for one candidate from the encoded
+// snapshot, installs the candidate, and drives the fork until the
+// workload completes or the cycle budget is exhausted, returning the
+// measured deltas from the cut. A candidate that refuses the region is
+// out of the race, measured by nothing; a fork that cannot be built
+// fails the whole race.
+func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Addr, budget, baseCycles, baseInstr, baseHITM uint64) (repair.TrialResult, error) {
+	res := repair.TrialResult{Candidate: cand.Name()}
+	snap, err := DecodeSessionState(blob)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	f.trial = true
-	if err := f.restoreFrom(st); err != nil {
-		return nil, err
+	f, err := s.fork(snap)
+	if err != nil {
+		return res, err
 	}
-	return f, nil
-}
-
-// runTrial drives one fork until the workload completes or the cycle
-// budget is exhausted and returns the measured deltas from the cut.
-func runTrial(f *Session, name string, budget, baseCycles, baseInstr, baseHITM uint64) repair.TrialResult {
 	defer f.Close()
-	res := repair.TrialResult{Candidate: name}
+	if cand.Name() != repair.DeclineName {
+		if err := f.ctl.ApplyCandidate(cand, pcs); err != nil {
+			res.Err = err.Error()
+			return res, nil
+		}
+		f.repairApplied = true
+		f.refreshRemap()
+	}
 	deadline := baseCycles + budget
 	for {
 		done, err := f.Step()
@@ -165,7 +149,23 @@ func runTrial(f *Session, name string, budget, baseCycles, baseInstr, baseHITM u
 	res.Cycles = st.Cycles - baseCycles
 	res.Instructions = st.Instructions - baseInstr
 	res.HITMs = st.HITMLoads + st.HITMStores - baseHITM
-	return res
+	return res, nil
+}
+
+// fork builds a trial session from a snapshot, reusing the parent's
+// image and resolved configuration verbatim (so the engine kind always
+// matches). The fork has no observers and an inert repair trigger.
+func (s *Session) fork(st *SessionState) (*Session, error) {
+	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair}
+	f, err := newSession(s.img, set)
+	if err != nil {
+		return nil, err
+	}
+	f.trial = true
+	if err := f.restoreFrom(st); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // trialSummary renders the measured trials compactly for the
