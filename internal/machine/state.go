@@ -70,7 +70,7 @@ type PrivRangeState struct {
 // State is a whole-machine snapshot. It is canonical for a given
 // machine state: pages are sorted by page number, HITM PCs by PC, and
 // the embedded coherence state is line-sorted, so two machines in the
-// same simulated state capture byte-identical gob encodings.
+// same simulated state capture byte-identical snapshot encodings.
 type State struct {
 	Cores      int
 	Parallel   bool // intra-run engine active at capture

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bufio"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,5 +240,81 @@ func TestStackFor(t *testing.T) {
 	b1, _, _ := StackFor(1)
 	if b1 < t0 || b0 >= b1 {
 		t.Error("adjacent stacks overlap or are misordered")
+	}
+}
+
+// parseMapSscanf is the fmt.Sscanf parser ParseMap replaced, kept as
+// the reference FuzzParseMap checks it against. It panics where Add
+// does, on an empty or overlapping region.
+func parseMapSscanf(s string) (*Map, error) {
+	m := new(Map)
+	sc := bufio.NewScanner(strings.NewReader(s))
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		var start, end uint64
+		var perms, rest string
+		n, err := fmt.Sscanf(line, "%x-%x %s", &start, &end, &perms)
+		if err != nil || n != 3 {
+			return nil, fmt.Errorf("mem: bad maps line %q", line)
+		}
+		if i := strings.LastIndex(line, " "); i >= 0 {
+			rest = line[i+1:]
+		}
+		kind := RegionApp
+		switch {
+		case strings.HasPrefix(rest, "[stack"):
+			kind = RegionStack
+		case rest == "[heap]":
+			kind = RegionHeap
+		case rest == "[kernel]":
+			kind = RegionKernel
+		case strings.HasSuffix(rest, ".so"):
+			kind = RegionLib
+		}
+		m.Add(Region{Start: Addr(start), End: Addr(end), Kind: kind, Name: rest})
+	}
+	return m, sc.Err()
+}
+
+// FuzzParseMap: ParseMap accepts exactly the listings the fmt.Sscanf
+// reference accepts, with the same regions — except that an empty or
+// overlapping region, on which the reference panics, is an error. The
+// seeds — StandardMap renders and malformed lines — are checked in under
+// testdata/fuzz; the two lines at the old scanner's 64 KiB limit are
+// built here.
+func FuzzParseMap(f *testing.F) {
+	for _, n := range []int{bufio.MaxScanTokenSize - 1, bufio.MaxScanTokenSize} {
+		line := "1000-2000 rw-p "
+		f.Add(line + strings.Repeat("x", n-len(line)) + "\n")
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseMap(s)
+		want, werr := func() (m *Map, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					m, err = nil, fmt.Errorf("reference panicked: %v", r)
+				}
+			}()
+			return parseMapSscanf(s)
+		}()
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseMap error %v, reference error %v", err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got.Regions(), want.Regions()) {
+			t.Fatalf("regions differ:\n got %+v\nwant %+v", got.Regions(), want.Regions())
+		}
+	})
+}
+
+func BenchmarkParseMap(b *testing.B) {
+	text := StandardMap(8192, 4096, 1<<20, 4).Render()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseMap(text); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

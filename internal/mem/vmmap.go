@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // RegionKind classifies a mapped region the way LASERDETECT's event filter
@@ -61,23 +63,31 @@ type Map struct {
 // Add inserts a region. Regions must not overlap; Add panics on overlap
 // because an overlapping map is a construction bug, never an input error.
 func (m *Map) Add(r Region) {
+	if err := m.insert(r); err != nil {
+		panic(err.Error())
+	}
+}
+
+// insert adds r unless it is empty or overlaps a region already mapped.
+func (m *Map) insert(r Region) error {
 	if r.End <= r.Start {
-		panic(fmt.Sprintf("mem: empty region %x-%x", r.Start, r.End))
+		return fmt.Errorf("mem: empty region %x-%x", r.Start, r.End)
 	}
 	i := sort.Search(len(m.regions), func(i int) bool {
 		return m.regions[i].Start >= r.Start
 	})
 	if i > 0 && m.regions[i-1].End > r.Start {
-		panic(fmt.Sprintf("mem: region %x-%x overlaps %x-%x",
-			r.Start, r.End, m.regions[i-1].Start, m.regions[i-1].End))
+		return fmt.Errorf("mem: region %x-%x overlaps %x-%x",
+			r.Start, r.End, m.regions[i-1].Start, m.regions[i-1].End)
 	}
 	if i < len(m.regions) && r.End > m.regions[i].Start {
-		panic(fmt.Sprintf("mem: region %x-%x overlaps %x-%x",
-			r.Start, r.End, m.regions[i].Start, m.regions[i].End))
+		return fmt.Errorf("mem: region %x-%x overlaps %x-%x",
+			r.Start, r.End, m.regions[i].Start, m.regions[i].End)
 	}
 	m.regions = append(m.regions, Region{})
 	copy(m.regions[i+1:], m.regions[i:])
 	m.regions[i] = r
+	return nil
 }
 
 // Lookup returns the region containing a, if any.
@@ -136,20 +146,27 @@ func (m *Map) Render() string {
 // LASERDETECT parses procfs (§4.1). The kind is recovered from the
 // pathname column: "[stack" prefixes are stacks, "[heap]" the heap,
 // "[kernel]" the kernel, ".so" suffixes libraries, anything else app.
+// A line is "start-end perms ..." with hexadecimal bounds; an empty or
+// overlapping region is an error, and so is a line of
+// bufio.MaxScanTokenSize bytes or more (the limit of the line scanner
+// this parser replaced).
 func ParseMap(s string) (*Map, error) {
 	m := new(Map)
-	sc := bufio.NewScanner(strings.NewReader(s))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if len(line) >= bufio.MaxScanTokenSize {
+			return nil, fmt.Errorf("mem: maps line of %d bytes: %w", len(line), bufio.ErrTooLong)
+		}
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		var start, end uint64
-		var perms, rest string
-		n, err := fmt.Sscanf(line, "%x-%x %s", &start, &end, &perms)
-		if err != nil || n != 3 {
+		start, end, ok := parseMapsBounds(line)
+		if !ok {
 			return nil, fmt.Errorf("mem: bad maps line %q", line)
 		}
+		var rest string
 		if i := strings.LastIndex(line, " "); i >= 0 {
 			rest = line[i+1:]
 		}
@@ -164,9 +181,49 @@ func ParseMap(s string) (*Map, error) {
 		case strings.HasSuffix(rest, ".so"):
 			kind = RegionLib
 		}
-		m.Add(Region{Start: Addr(start), End: Addr(end), Kind: kind, Name: rest})
+		if err := m.insert(Region{Start: Addr(start), End: Addr(end), Kind: kind, Name: rest}); err != nil {
+			return nil, err
+		}
 	}
-	return m, sc.Err()
+	return m, nil
+}
+
+// parseMapsBounds reads the "start-end perms" head of a trimmed maps
+// line. It accepts what fmt.Sscanf(line, "%x-%x %s", ...) does: hex
+// digits without a prefix, the dash straight after the start, spaces
+// allowed after the dash, and at least one space then a non-space
+// word after the end.
+func parseMapsBounds(line string) (start, end uint64, ok bool) {
+	start, rest, ok := cutHex(line)
+	if !ok || !strings.HasPrefix(rest, "-") {
+		return 0, 0, false
+	}
+	end, rest, ok = cutHex(strings.TrimLeftFunc(rest[1:], unicode.IsSpace))
+	if !ok {
+		return 0, 0, false
+	}
+	perms := strings.TrimLeftFunc(rest, unicode.IsSpace)
+	if len(perms) == len(rest) || perms == "" {
+		return 0, 0, false
+	}
+	return start, end, true
+}
+
+// cutHex parses the leading hexadecimal digits of s as a uint64.
+func cutHex(s string) (v uint64, rest string, ok bool) {
+	n := 0
+	for n < len(s) && isHexDigit(s[n]) {
+		n++
+	}
+	if n == 0 {
+		return 0, s, false
+	}
+	v, err := strconv.ParseUint(s[:n], 16, 64)
+	return v, s[n:], err == nil
+}
+
+func isHexDigit(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // StandardMap builds the canonical process map used by the machine: app

@@ -284,3 +284,50 @@ func TestBadConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+// A restore puts the RNG where the captured unit's was, whether the
+// restoring unit is freshly built (its source advances in place) or has
+// already drawn past the capture point (its source is reseeded): the
+// next draws match the captured unit's.
+func TestRestoreStateRNGPosition(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SAV = 1
+	drive := func(u *Unit, p *isa.Program, events int) {
+		for i := 0; i < events; i++ {
+			u.OnHITM(event(p, 3, i%2 == 0))
+		}
+	}
+	next := func(u *Unit) [8]float64 {
+		var out [8]float64
+		for i := range out {
+			out[i] = u.rng.Float64()
+		}
+		return out
+	}
+
+	captured, p := newUnit(cfg, &collectSink{})
+	drive(captured, p, 40)
+	st := captured.CaptureState()
+	if st.Draws == 0 {
+		t.Fatal("driving the unit drew nothing")
+	}
+	want := next(captured)
+
+	fresh, _ := newUnit(cfg, &collectSink{})
+	ahead, p2 := newUnit(cfg, &collectSink{})
+	drive(ahead, p2, 100)
+	if ahead.src.n <= st.Draws {
+		t.Fatalf("ahead unit drew %d, want more than %d", ahead.src.n, st.Draws)
+	}
+	for name, u := range map[string]*Unit{"fresh": fresh, "ahead": ahead} {
+		if err := u.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if u.src.n != st.Draws {
+			t.Errorf("%s: draw count %d after restore, want %d", name, u.src.n, st.Draws)
+		}
+		if got := next(u); got != want {
+			t.Errorf("%s: next draws %v, want %v", name, got, want)
+		}
+	}
+}

@@ -5,8 +5,8 @@ package pebs
 // the underlying source (Int63 or Uint64) advances its state by exactly
 // one step, so a single draw counter pins the position. countingSource
 // wraps the stock source with that counter — it delegates without
-// altering the sequence — and restore replays a fresh source forward by
-// the recorded number of draws.
+// altering the sequence — and restore moves the source forward to the
+// recorded number of draws.
 
 import (
 	"fmt"
@@ -62,21 +62,23 @@ func (u *Unit) CaptureState() *State {
 	return st
 }
 
-// RestoreState rewinds the PMU to the snapshot: a fresh source seeded
-// with the configured seed is advanced by the recorded draw count, so
-// the next random value is exactly the one the captured unit would have
-// produced.
+// RestoreState rewinds the PMU to the snapshot: its source is moved to
+// the recorded draw count, so the next random value is exactly the one
+// the captured unit would have produced. A source that has not passed
+// that count — a freshly built unit's sits at zero — is advanced in
+// place; one that has is reseeded with the configured seed first.
+// Seeding is the expensive step, so a restore onto a new unit pays it
+// once, in New.
 func (u *Unit) RestoreState(st *State) error {
 	if len(st.Counter) != len(u.counter) || len(st.Buf) != len(u.buf) {
 		return fmt.Errorf("pebs: snapshot for %d cores, unit has %d", len(st.Counter), len(u.counter))
 	}
-	src := newCountingSource(u.cfg.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		src.src.Uint64()
+	if u.src.n > st.Draws {
+		u.src.Seed(u.cfg.Seed)
 	}
-	src.n = st.Draws
-	u.src = src
-	u.rng = rand.New(src)
+	for ; u.src.n < st.Draws; u.src.n++ {
+		u.src.src.Uint64()
+	}
 	copy(u.counter, st.Counter)
 	for c := range u.buf {
 		u.buf[c] = nil

@@ -9,6 +9,8 @@ package serverd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -232,6 +234,30 @@ func TestDurableQuarantine(t *testing.T) {
 		})
 		check(t, cfg, id, "code version")
 	})
+
+	// A journal written in the v1 layout (a gob payload) fails the
+	// magic check: the daemon quarantines it rather than decoding it.
+	t.Run("old format", func(t *testing.T) {
+		cfg, id := doctor(t, func(_ string, raw []byte) []byte {
+			_, rest, _ := bytes.Cut(raw, []byte("\n"))
+			return append([]byte("laser-statestore v1\n"), rest...)
+		})
+		check(t, cfg, id, "bad magic")
+	})
+
+	// A payload that passes its checksum but is no snapshot encoding is
+	// refused by the decoder, never a crash.
+	t.Run("undecodable payload", func(t *testing.T) {
+		cfg, id := doctor(t, func(_ string, raw []byte) []byte {
+			lines := bytes.SplitN(raw, []byte("\n"), 4)
+			payload := []byte("\x01not a session state")
+			sum := sha256.Sum256(payload)
+			lines[2] = []byte(hex.EncodeToString(sum[:]))
+			lines[3] = payload
+			return bytes.Join(lines, []byte("\n"))
+		})
+		check(t, cfg, id, "decoding session state")
+	})
 }
 
 // Journal write failures never kill the session: it runs to completion
@@ -320,5 +346,42 @@ func TestDurableCheckpointPinsCodeVersion(t *testing.T) {
 	}
 	if j.Meta.Fingerprint == "" {
 		t.Fatal("checkpoint has no config fingerprint")
+	}
+}
+
+// BenchmarkRecoverJournal measures a durable boot: New over a state
+// directory journaling eight idle sessions of laserload's attach
+// request at its defaults, the boot perfbench's laserd_durable times.
+func BenchmarkRecoverJournal(b *testing.B) {
+	cfg := Config{StateDir: b.TempDir()}
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		maxCycles, poll, sav, threshold := uint64(50_000_000), uint64(5_000), 2, 0.0
+		req := AttachRequest{
+			Custom: &CustomImage{Threads: 2, Iters: 20_000, Stride: 8, Alus: 2},
+			Options: AttachOptions{Seed: &seed, SAV: &sav, PollInterval: &poll,
+				MaxCycles: &maxCycles, RateThreshold: &threshold},
+		}
+		if _, err := s.attach(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := s.met.sessionsRecovered.Value(); n != 8 {
+			b.Fatalf("recovered %d sessions, want 8", n)
+		}
+		s.Close()
+		b.StartTimer()
 	}
 }

@@ -7,9 +7,16 @@
 //	frames.log      — the encoded SSE frame log, appended on the
 //	                  checkpoint cadence: "f <seq> <stamp> <len>\n"
 //	                  followed by the raw frame bytes;
-//	checkpoint.snap — the latest whole-machine snapshot: a magic line,
-//	                  a one-line JSON Meta header, the hex sha256 of
-//	                  the payload, then the gob-encoded SessionState.
+//	checkpoint.snap — the latest whole-machine snapshot: the magic
+//	                  line "laser-statestore v2", a one-line JSON Meta
+//	                  header, the hex sha256 of the payload, then the
+//	                  payload, a laser.SessionState in laser's compact
+//	                  binary encoding.
+//
+// The payload carries no type information: it decodes only on the
+// build that wrote it, which Meta.CodeVersion pins. A checkpoint in an
+// older layout (the v1 gob payload) fails the magic check and is
+// quarantined like any other unrestorable journal.
 //
 // Checkpoints follow the run cache's discipline — written to a temp
 // file in the same directory and renamed into place, verified against
@@ -51,9 +58,10 @@ import (
 	"repro/internal/faultinject"
 )
 
-// magic leads every checkpoint file; bump the version when the layout
-// or the SessionState schema changes shape.
-const magic = "laser-statestore v1"
+// magic leads every checkpoint file; bump the version when the file
+// layout or the payload encoding changes. (A SessionState schema change
+// within one encoding is caught by the code version instead.)
+const magic = "laser-statestore v2"
 
 // Meta is the checkpoint header: everything recovery must know before
 // deciding to decode and restore the payload.
@@ -83,7 +91,7 @@ type Journal struct {
 	ID     string
 	Attach []byte // attach.json bytes
 	Meta   Meta
-	State  []byte   // checksum-verified gob SessionState payload
+	State  []byte   // checksum-verified encoded SessionState payload
 	Frames [][]byte // frame log trimmed to Meta.Events records
 	Stamps []int64  // append wall times, parallel to Frames
 }
@@ -309,7 +317,9 @@ func readFrameLog(path string) (frames [][]byte, stamps []int64, err error) {
 
 // ResetFrames atomically rewrites the session's frame log — recovery
 // truncates it to the restored checkpoint's Events so the resumed
-// session's re-emitted frames append without duplication.
+// session's re-emitted frames append without duplication. A log that
+// already holds exactly the canonical bytes (a missing log counts as
+// empty) is left as it is: after a clean shutdown that is every log.
 func (s *Store) ResetFrames(id string, frames [][]byte, stamps []int64) error {
 	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
 		return err
@@ -318,6 +328,14 @@ func (s *Store) ResetFrames(id string, frames [][]byte, stamps []int64) error {
 	for i, frame := range frames {
 		fmt.Fprintf(&buf, "f %d %d %d\n", uint64(i), stamps[i], len(frame))
 		buf.Write(frame)
+	}
+	path := filepath.Join(s.sessionDir(id), "frames.log")
+	old, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	if err == nil && bytes.Equal(old, buf.Bytes()) {
+		return nil
 	}
 	return atomicWrite(s.sessionDir(id), "frames.log", buf.Bytes())
 }

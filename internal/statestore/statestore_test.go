@@ -181,6 +181,126 @@ func TestResetFramesTruncates(t *testing.T) {
 	}
 }
 
+// ResetFrames leaves a log that already holds exactly the frames it
+// would write in place — the same file, not a rewritten copy — and
+// replaces any other: one with frames past the checkpoint, or a torn
+// tail.
+func TestResetFramesSkipsCanonicalLog(t *testing.T) {
+	s := testStore(t)
+	path := filepath.Join(s.Dir(), "sessions", "s1", "frames.log")
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	reset := func(fs [][]byte, ts []int64) {
+		t.Helper()
+		if err := s.ResetFrames("s1", fs, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CreateSession("s1", []byte("{}"))
+
+	// A missing log is an empty one: resetting it to no frames writes
+	// nothing.
+	reset(nil, nil)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("empty reset of a missing log created it: %v", err)
+	}
+
+	fs, ts := frames(5, "x")
+	s.AppendFrames("s1", 0, fs[:3], ts[:3])
+	before := stat()
+	reset(fs[:3], ts[:3])
+	if !os.SameFile(before, stat()) {
+		t.Fatal("canonical log was rewritten")
+	}
+
+	s.AppendFrames("s1", 3, fs[3:], ts[3:])
+	before = stat()
+	reset(fs[:3], ts[:3])
+	if os.SameFile(before, stat()) {
+		t.Fatal("log with frames past the checkpoint was not replaced")
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = stat()
+	reset(fs[:2], ts[:2])
+	if os.SameFile(before, stat()) {
+		t.Fatal("log with a torn tail was not replaced")
+	}
+	got, _, err := readFrameLog(path)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("after reset: %d frames, %v", len(got), err)
+	}
+}
+
+// FuzzFrameLog: reading a frame log built from arbitrary bytes never
+// panics, and for every log it accepts, LoadSession returns its frames
+// and ResetFrames rewrites it to a canonical log that reloads to the
+// same frames and stamps — and that a second ResetFrames leaves alone.
+// The seed logs are checked in under testdata/fuzz.
+func FuzzFrameLog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateSession("s1", []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(s.Dir(), "sessions", "s1", "frames.log")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, wantStamps, err := readFrameLog(path)
+		if err != nil {
+			return
+		}
+		if _, err := s.WriteCheckpoint(Meta{ID: "s1", Events: uint64(len(want)), State: "idle"}, []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.LoadSession("s1")
+		if err != nil {
+			t.Fatalf("LoadSession of an accepted log: %v", err)
+		}
+		if err := s.ResetFrames("s1", j.Frames, j.Stamps); err != nil {
+			t.Fatal(err)
+		}
+		got, gotStamps, err := readFrameLog(path)
+		if err != nil {
+			t.Fatalf("reload after ResetFrames: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("reload has %d frames, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) || gotStamps[i] != wantStamps[i] {
+				t.Fatalf("frame %d changed across ResetFrames", i)
+			}
+		}
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ResetFrames("s1", got, gotStamps); err != nil {
+			t.Fatal(err)
+		}
+		if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+			t.Fatalf("ResetFrames rewrote the canonical log it had just written (%v)", err)
+		}
+	})
+}
+
 func TestQuarantineMovesJournal(t *testing.T) {
 	s := testStore(t)
 	s.CreateSession("s1", []byte("{}"))

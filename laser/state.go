@@ -2,19 +2,18 @@ package laser
 
 // Durable session snapshots: SessionState composes the component
 // snapshots (machine, detector pipeline, repair controller, PMU,
-// driver) with the session's own monitor-loop state into one
-// gob-serializable value. CaptureState is valid whenever the session is
-// stopped at a Step boundary — the machine settles every in-flight
-// engine segment before RunFor returns, so a boundary is a fully
-// consistent cut. RestoreSession rebuilds the full stack from the
-// workload image and overwrites it with the snapshot; restore is
-// deterministically transparent: a restored session emits a
-// byte-identical remaining event stream and final result versus a twin
-// that was never interrupted.
+// driver) with the session's own monitor-loop state into one value,
+// which Encode serializes with the compact codec of codec.go.
+// CaptureState is valid whenever the session is stopped at a Step
+// boundary — the machine settles every in-flight engine segment before
+// RunFor returns, so a boundary is a fully consistent cut.
+// RestoreSession rebuilds the full stack from the workload image and
+// overwrites it with the snapshot; restore is deterministically
+// transparent: a restored session emits a byte-identical remaining
+// event stream and final result versus a twin that was never
+// interrupted.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -239,21 +238,25 @@ func (s *Session) restoreFrom(st *SessionState) error {
 	return nil
 }
 
-// Encode serializes the snapshot with gob. The encoding is
-// deterministic for a given snapshot: every component flattens its
-// maps into sorted slices at capture time.
+// Encode serializes the snapshot with the compact binary codec of
+// codec.go. The encoding is deterministic for a given snapshot: every
+// component flattens its maps into sorted slices at capture time, and
+// the codec writes any remaining map in key order. It carries no type
+// information, so it restores only on the build that wrote it.
 func (st *SessionState) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	b, err := encodeValue(nil, st)
+	if err != nil {
 		return nil, fmt.Errorf("laser: encoding session state: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeSessionState parses a snapshot produced by Encode.
+// DecodeSessionState parses a snapshot produced by Encode. Malformed
+// input is an error, and any input it accepts re-encodes to the same
+// bytes.
 func DecodeSessionState(b []byte) (*SessionState, error) {
 	st := new(SessionState)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(st); err != nil {
+	if err := decodeValue(b, st); err != nil {
 		return nil, fmt.Errorf("laser: decoding session state: %w", err)
 	}
 	return st, nil
