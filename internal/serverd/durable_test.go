@@ -22,6 +22,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/runcache"
 	"repro/internal/statestore"
+	"repro/laser"
 )
 
 // bootDurable starts a server on dir without registering cleanup — the
@@ -383,5 +384,126 @@ func BenchmarkRecoverJournal(b *testing.B) {
 		}
 		s.Close()
 		b.StartTimer()
+	}
+}
+
+// TestDurableSpeculativeCheckpointMidReplay recovers a speculative-
+// repair session from a crash image whose checkpoint was taken while
+// the session was handing out the adopted trial fork's queued polls.
+// The checkpoint materializes the session's own stack, so the
+// recovered run must stream and report exactly what an uninterrupted
+// in-memory twin does.
+func TestDurableSpeculativeCheckpointMidReplay(t *testing.T) {
+	req := namedSpeculative(5)
+	budget := Config{}.withDefaults().MaxSessionCycles
+
+	// The uninterrupted twin, one poll at a time: the cycles after each
+	// poll, and the poll whose trigger ran the trial race.
+	var events []laser.Event
+	opts, _ := req.SessionOptions(budget)
+	opts = append(opts, laser.WithObserver(func(e laser.Event) { events = append(events, e) }))
+	twin, err := laser.Attach(req.BuildImage(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	var cycles []uint64
+	race := -1
+	for {
+		seen := len(events)
+		done, err := twin.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles = append(cycles, twin.Stats().Cycles)
+		for _, e := range events[seen:] {
+			if _, ok := e.(laser.RepairTrialStarted); ok {
+				race = len(cycles)
+			}
+		}
+		if done {
+			break
+		}
+	}
+	// The fork's window must span at least two polls for one of them to
+	// fall strictly inside the replay.
+	if race < 0 || len(cycles) < race+2 {
+		t.Fatalf("trial race at poll %d of %d: no poll strictly inside the replay", race, len(cycles))
+	}
+	want := EncodeStream(events)
+	res, err := twin.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantResult := resultBody{Seconds: res.Seconds, RepairApplied: res.RepairApplied,
+		Epochs: len(res.Epochs), Report: encodeReport(res.Report)}
+	if res.RepairErr != nil {
+		wantResult.RepairErr = res.RepairErr.Error()
+	}
+
+	// The cycle cadence is set so that the only checkpoint after the
+	// attach lands on the first poll past the race, inside the replay.
+	mid := race + 1
+	cfg := Config{StateDir: t.TempDir(), CheckpointEvents: 1 << 20, CheckpointCycles: cycles[mid-1]}
+	s1, ts1 := bootDurable(t, cfg)
+	st := attachT(t, ts1.URL, req, http.StatusCreated)
+	if resp := doJSON(t, http.MethodPost, ts1.URL+"/sessions/"+st.ID+"/step", stepRequest{Polls: mid}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("step = %d", resp.StatusCode)
+	}
+	// Crash: what is on disk now is all the next incarnation gets.
+	crash := Config{StateDir: t.TempDir(), CheckpointEvents: cfg.CheckpointEvents, CheckpointCycles: cfg.CheckpointCycles}
+	copyTree(t, cfg.StateDir, crash.StateDir)
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := bootDurable(t, crash)
+	defer func() { ts2.Close(); s2.Close() }()
+	if hb := health(t, ts2.URL); hb.SessionsRecovered != 1 {
+		t.Fatalf("post-crash health = %+v, want 1 recovered", hb)
+	}
+	if rec := waitState(t, ts2.URL, st.ID, "idle"); rec.Cycles != cycles[mid-1] {
+		t.Fatalf("recovered at cycle %d, want the mid-replay checkpoint at %d", rec.Cycles, cycles[mid-1])
+	}
+	if resp := doJSON(t, http.MethodPost, ts2.URL+"/sessions/"+st.ID+"/run", nil, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("run after crash = %d", resp.StatusCode)
+	}
+	if got := collectSSE(t, ts2.URL, st.ID, "?from=0"); !bytes.Equal(got, want) {
+		t.Fatalf("stream across the crash diverges: got %d bytes, want %d", len(got), len(want))
+	}
+	waitState(t, ts2.URL, st.ID, "done")
+	var got resultBody
+	if resp := doJSON(t, http.MethodGet, ts2.URL+"/sessions/"+st.ID+"/result", nil, &got); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result = %d", resp.StatusCode)
+	}
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(wantResult)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("result across the crash diverges:\ngot  %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
+// copyTree copies the regular files under src to dst, keeping the
+// layout: a crash image of a state directory.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

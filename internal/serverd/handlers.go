@@ -267,7 +267,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		if h.state == statePaused {
 			h.state = stateIdle
 		}
-		if h.stepLocked() {
+		if h.stepLocked(nil) {
 			break
 		}
 	}

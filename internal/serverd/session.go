@@ -226,9 +226,13 @@ func (h *hosted) observe(e laser.Event) {
 
 // stepLocked advances the session one poll interval and folds the
 // outcome into the state machine. Callers hold h.mu and have checked
-// the state allows stepping.
-func (h *hosted) stepLocked() (done bool) {
+// the state allows stepping. A non-nil release is called when the step
+// turns the session terminal, before the terminal state is published.
+func (h *hosted) stepLocked(release func()) (done bool) {
 	stepDone, err := h.sess.Step()
+	if (err != nil || stepDone) && release != nil {
+		release()
+	}
 	switch {
 	case err != nil:
 		h.state = stateFailed
@@ -257,10 +261,26 @@ func (h *hosted) stepLocked() (done bool) {
 // runLoop is the runner goroutine: acquire a simulation worker slot,
 // then step until the workload completes, a pause or close lands, or
 // the session turns terminal. The slot is held for the whole run — the
-// cycle budget bounds it — and always released.
+// cycle budget bounds it — and always released. A run that finishes
+// the session releases its accounting before the terminal state is
+// published, so a client that saw the session done never sees its run
+// still pending or its worker still busy.
 func (h *hosted) runLoop() {
 	defer h.srv.wg.Done()
-	defer h.srv.met.runsPending.Dec()
+	slot, released := false, false
+	release := func() {
+		if released {
+			return
+		}
+		released = true
+		if slot {
+			h.srv.met.workersBusy.Dec()
+			// Never blocks: the token came out of this semaphore.
+			h.srv.workers <- struct{}{}
+		}
+		h.srv.met.runsPending.Dec()
+	}
+	defer release()
 	select {
 	case <-h.srv.workers:
 	case <-h.srv.shutdown:
@@ -272,11 +292,8 @@ func (h *hosted) runLoop() {
 		h.mu.Unlock()
 		return
 	}
+	slot = true
 	h.srv.met.workersBusy.Inc()
-	defer func() {
-		h.srv.met.workersBusy.Dec()
-		h.srv.workers <- struct{}{}
-	}()
 
 	for {
 		select {
@@ -295,7 +312,7 @@ func (h *hosted) runLoop() {
 				h.mu.Unlock()
 				return
 			}
-			done := h.stepLocked()
+			done := h.stepLocked(release)
 			h.mu.Unlock()
 			if !done {
 				continue

@@ -102,10 +102,19 @@ type Session struct {
 
 	repairApplied bool
 	repairErr     error
-	// trial marks a speculative-repair fork: its maybeRepair is inert
-	// (the fork's candidate was installed at fork time; forks never
-	// recurse into trials) and it reports to no observers.
-	trial bool
+	// trial marks a speculative-repair fork and logs its window: the
+	// fork's candidate was installed at fork time, its trigger only
+	// notes that it would have fired (forks never recurse into trials),
+	// and its events are queued for a parent that may adopt it.
+	trial *trialLog
+	// replay is the adopted winner's fork while its queued polls are
+	// being handed out, replayed the number handed out so far; see
+	// replayPoll.
+	replay   *Session
+	replayed int
+	// muted silences emit while materialize re-simulates polls whose
+	// events were already handed out.
+	muted bool
 	// trialWinner and trials record the speculative-trial outcome for
 	// the Result (and the session snapshot).
 	trialWinner string
@@ -256,6 +265,9 @@ func (s *Session) Events() <-chan Event {
 
 // emit delivers an event to every observer, synchronously and in order.
 func (s *Session) emit(e Event) {
+	if s.muted {
+		return
+	}
 	s.obsMu.Lock()
 	obs := s.observers
 	s.obsMu.Unlock()
@@ -265,10 +277,20 @@ func (s *Session) emit(e Event) {
 }
 
 // EpochIndex returns the detection epoch in progress.
-func (s *Session) EpochIndex() int { return s.epoch }
+func (s *Session) EpochIndex() int {
+	if p := s.replayedPoll(); p != nil {
+		return p.epoch
+	}
+	return s.epoch
+}
 
 // Stats returns the monitored machine's statistics so far.
-func (s *Session) Stats() *machine.Stats { return s.m.Stats() }
+func (s *Session) Stats() *machine.Stats {
+	if p := s.replayedPoll(); p != nil {
+		return &p.stats
+	}
+	return s.m.Stats()
+}
 
 // Snapshot returns the detector's cumulative report at this moment,
 // using the configured rate threshold — the exit report, available at
@@ -281,12 +303,14 @@ func (s *Session) Snapshot() *core.Report {
 // offline re-thresholding, applicable mid-run because the detector
 // retains its aggregates.
 func (s *Session) SnapshotAt(threshold float64) *core.Report {
+	s.materialize()
 	return s.pipe.ReportAt(s.m.Stats().Seconds(), threshold)
 }
 
 // EpochSnapshot returns the detector's report over only the current
 // epoch's window so far.
 func (s *Session) EpochSnapshot() *core.Report {
+	s.materialize()
 	return s.pipe.EpochReportAt(s.m.Stats().Seconds(), s.cfg.Detector.RateThreshold)
 }
 
@@ -300,11 +324,13 @@ func (s *Session) SnapshotInto(dst *core.Report) {
 
 // SnapshotAtInto is SnapshotInto with an explicit rate threshold.
 func (s *Session) SnapshotAtInto(dst *core.Report, threshold float64) {
+	s.materialize()
 	s.pipe.ReportAtInto(dst, s.m.Stats().Seconds(), threshold)
 }
 
 // EpochSnapshotInto is the allocation-free counterpart of EpochSnapshot.
 func (s *Session) EpochSnapshotInto(dst *core.Report) {
+	s.materialize()
 	s.pipe.EpochReportAtInto(dst, s.m.Stats().Seconds(), s.cfg.Detector.RateThreshold)
 }
 
@@ -319,6 +345,10 @@ func (s *Session) EpochSnapshotInto(dst *core.Report) {
 // worker goroutines joined, a recover here catches the monitor side,
 // and either way the session turns terminal — the error is returned,
 // the panic never unwinds into the caller, and no goroutine leaks.
+//
+// After a speculative repair adopts its winning trial fork, the Steps
+// covering the fork's window hand out its queued polls instead of
+// simulating them again; what they return and emit is unchanged.
 func (s *Session) Step() (done bool, err error) {
 	if s.closed.Load() {
 		return true, ErrClosed
@@ -337,7 +367,15 @@ func (s *Session) Step() (done bool, err error) {
 			}
 		}
 	}()
-	done, err = s.m.RunFor(s.next)
+	if s.replay != nil {
+		return s.replayPoll(), nil
+	}
+	return s.poll()
+}
+
+// poll is one simulated iteration of the monitor loop.
+func (s *Session) poll() (bool, error) {
+	done, err := s.m.RunFor(s.next)
 	if err != nil {
 		s.done = true
 		return true, err
@@ -356,13 +394,13 @@ func (s *Session) Step() (done bool, err error) {
 // cycles (rounded up to whole poll intervals). It returns done=true if
 // the workload completed within the slice.
 func (s *Session) RunFor(cycles uint64) (bool, error) {
-	deadline := s.m.Stats().Cycles + cycles
+	deadline := s.Stats().Cycles + cycles
 	for {
 		done, err := s.Step()
 		if done || err != nil {
 			return done, err
 		}
-		if s.m.Stats().Cycles >= deadline {
+		if s.Stats().Cycles >= deadline {
 			return false, nil
 		}
 	}
@@ -483,30 +521,37 @@ func (s *Session) at() common {
 	return common{Cycle: s.m.Stats().Cycles, EpochIndex: s.epoch}
 }
 
+// repairTrigger is the §4.4 trigger check, free of side effects: it
+// returns the candidate PCs when the trigger fires with fresh
+// candidates at this moment.
+func (s *Session) repairTrigger(seconds float64) ([]mem.Addr, bool) {
+	if !s.cfg.EnableRepair || s.repairErr != nil || s.epoch >= s.cfg.MaxEpochs {
+		return nil, false
+	}
+	pcs, ok := s.pipe.RepairCandidates(seconds)
+	if !ok || s.covered == nil {
+		return pcs, ok
+	}
+	for _, pc := range pcs {
+		if !s.covered[pc] {
+			return pcs, true
+		}
+	}
+	return nil, false
+}
+
 // maybeRepair runs the §4.4 trigger check and, when it fires with fresh
 // candidates, hands them to LASERREPAIR. A successful hot-swap ends the
 // epoch.
 func (s *Session) maybeRepair() {
-	if s.trial || !s.cfg.EnableRepair || s.repairErr != nil || s.epoch >= s.cfg.MaxEpochs {
-		return
-	}
-	st := s.m.Stats()
-	seconds := st.Seconds()
-	pcs, ok := s.pipe.RepairCandidates(seconds)
+	seconds := s.m.Stats().Seconds()
+	pcs, ok := s.repairTrigger(seconds)
 	if !ok {
 		return
 	}
-	if s.covered != nil {
-		fresh := false
-		for _, pc := range pcs {
-			if !s.covered[pc] {
-				fresh = true
-				break
-			}
-		}
-		if !fresh {
-			return
-		}
+	if s.trial != nil {
+		s.trial.retrigger = true
+		return
 	}
 	s.emit(RepairTriggered{common: s.at(), Candidates: pcs})
 	// Records still sitting in per-core PEBS buffers were sampled from
@@ -528,6 +573,16 @@ func (s *Session) maybeRepair() {
 	} else {
 		applyErr = s.ctl.Apply(pcs)
 	}
+	s.settleRepair(pcs, genBefore, seconds, applyErr)
+}
+
+// settleRepair folds an install attempt into the monitor loop: a
+// refusal becomes the session's repair error; a success marks the
+// candidates covered and, when the controller swapped a new program
+// in, re-reads the PC remap and ends the epoch. Trial forks finish
+// their own install through it too, so an adopted fork starts its
+// window in exactly the parent's state.
+func (s *Session) settleRepair(pcs []mem.Addr, genBefore int, seconds float64, applyErr error) {
 	if applyErr != nil {
 		s.repairErr = applyErr
 		s.emit(RepairDeclined{common: s.at(), Err: applyErr, Winner: s.trialWinner})
@@ -608,6 +663,7 @@ func (s *Session) finish() {
 // error: the pipeline (for offline analysis) and the repair outcome so
 // far, without final statistics.
 func (s *Session) partialResult() *Result {
+	s.materialize()
 	return &Result{
 		Pipeline:      s.pipe,
 		RepairApplied: s.repairApplied,

@@ -185,3 +185,31 @@ func TestSpeculativeRepairEventShape(t *testing.T) {
 		t.Fatalf("applied=%d declined=%d, want exactly one outcome event", len(applied), len(declined))
 	}
 }
+
+// BenchmarkSpeculativeSession measures one whole repairing session as
+// perfbench's fs_repair workload runs it: build histogram' at scale
+// 0.15, attach with the scale-aware poll cadence and speculative
+// repair, and drive it to completion — the trigger, the trial race,
+// the install and the adopted winner's window.
+func BenchmarkSpeculativeSession(b *testing.B) {
+	w, ok := workload.Get("histogram'")
+	if !ok {
+		b.Fatal("histogram' not registered")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		img := w.Build(workload.Options{Scale: 0.15, HeapBias: laser.AttachBias})
+		s, err := laser.Attach(img, laser.WithAutoPollInterval(0.15), laser.WithSpeculativeRepair(true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Wait()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.RepairApplied {
+			b.Fatalf("no repair installed (trial winner %q)", res.RepairWinner)
+		}
+		s.Close()
+	}
+}

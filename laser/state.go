@@ -85,6 +85,7 @@ func (s *Session) Fingerprint() string { return s.cfg.Fingerprint() }
 // CaptureState snapshots the session. Call it only from the driving
 // goroutine, with the session stopped at a Step boundary.
 func (s *Session) CaptureState() *SessionState {
+	s.materialize()
 	st := &SessionState{
 		Fingerprint:   s.cfg.Fingerprint(),
 		Parallel:      s.m.IntraRunParallel(),

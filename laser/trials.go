@@ -11,6 +11,15 @@ package laser
 // untouched until the winner is installed at exactly the cut the trials
 // measured.
 //
+// Adoption: a fork installs its candidate through the parent's own
+// post-install path, so from the cut on it simulates exactly what the
+// parent would. It queues each poll's events and end-of-poll
+// observables instead of emitting them. The parent holds the winner's
+// fork, hands its queued polls out one per Step, and then swaps the
+// fork's stack in — the window the race already simulated is never
+// simulated again. A fork is adoptable only if nothing in its window
+// failed and the parent's trigger would not have fired there.
+//
 // Determinism: every fork is an independent deterministic simulation
 // from an identical snapshot, results are collected by candidate index
 // and emitted in canonical candidate order after every fork finished,
@@ -21,19 +30,43 @@ package laser
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/repair"
 )
+
+// trialLog is a trial fork's record of its window, kept for adoption.
+type trialLog struct {
+	polls   []trialPoll
+	pending []Event // events of the poll in progress
+	// retrigger notes that the parent's §4.4 trigger would have fired
+	// after some poll of the window, which the fork cannot replay.
+	retrigger bool
+}
+
+// trialPoll is one queued poll of a fork's window: what the parent's
+// Step would have emitted and returned, and the observables it would
+// have left behind.
+type trialPoll struct {
+	events []Event
+	done   bool
+	stats  machine.Stats
+	epoch  int
+}
+
+func (l *trialLog) record(e Event) { l.pending = append(l.pending, e) }
 
 // applyMeasured is the speculative-repair first install: race the
 // candidate slate from this cut, record the trial outcome, and install
 // the measured winner. A "decline" winner returns the measured-decline
 // error (the caller records it as RepairErr and emits RepairDeclined).
+// When the winner's fork is adoptable, the session holds it for replay.
 func (s *Session) applyMeasured(pcs []mem.Addr) error {
-	trials, err := s.runTrials(pcs)
+	trials, forks, err := s.runTrials(pcs)
 	if err != nil {
 		// The trial harness itself failed (snapshot encode or fork
 		// construction) — fall back to the direct rewrite rather than
@@ -43,24 +76,34 @@ func (s *Session) applyMeasured(pcs []mem.Addr) error {
 	winner := repair.SelectWinner(s.cfg.PEBS.Seed, trials)
 	s.trials = trials
 	s.trialWinner = winner
-	for _, t := range trials {
+	var adoptable *Session
+	for i, t := range trials {
 		s.emit(RepairTrialResult{common: s.at(), Candidate: t.Candidate,
 			Cycles: t.Cycles, Instructions: t.Instructions, HITMs: t.HITMs,
 			Completed: t.Completed, Winner: t.Candidate == winner, Err: t.Err})
+		if t.Candidate == winner {
+			adoptable = forks[i]
+		}
 	}
 	if winner == repair.DeclineName {
+		s.replay = adoptable
 		return fmt.Errorf("laser: repair declined by measured trials: %s", trialSummary(trials))
 	}
 	cand, err := repair.CandidateByName(winner)
 	if err != nil {
 		return err
 	}
-	return s.ctl.ApplyCandidate(cand, pcs)
+	if err := s.ctl.ApplyCandidate(cand, pcs); err != nil {
+		return err
+	}
+	s.replay = adoptable
+	return nil
 }
 
 // runTrials forks one bounded trial per candidate from the current cut
-// and returns the measured results in canonical candidate order.
-func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, error) {
+// and returns the measured results in canonical candidate order, with
+// each candidate's fork when it is adoptable (nil otherwise).
+func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, []*Session, error) {
 	budget := s.cfg.TrialBudget
 	if budget == 0 {
 		// Resolved here rather than in Validate so the configuration
@@ -72,7 +115,7 @@ func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, error) {
 	}
 	blob, err := s.CaptureState().Encode()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := s.m.Stats()
 	baseCycles, baseInstr := st.Cycles, st.Instructions
@@ -89,47 +132,54 @@ func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, error) {
 	// its fork, applies the candidate and runs the trial; each fork is an
 	// independent machine and results land by candidate index.
 	results := make([]repair.TrialResult, len(cands))
+	forks := make([]*Session, len(cands))
 	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
 	for i, cand := range cands {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = s.runCandidate(blob, cand, pcs, budget, baseCycles, baseInstr, baseHITM)
+			results[i], forks[i], errs[i] = s.runCandidate(blob, cand, pcs, budget, baseCycles, baseInstr, baseHITM)
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return results, nil
+	return results, forks, nil
 }
 
 // runCandidate builds the fork for one candidate from the encoded
 // snapshot, installs the candidate, and drives the fork until the
 // workload completes or the cycle budget is exhausted, returning the
-// measured deltas from the cut. A candidate that refuses the region is
-// out of the race, measured by nothing; a fork that cannot be built
-// fails the whole race.
-func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Addr, budget, baseCycles, baseInstr, baseHITM uint64) (repair.TrialResult, error) {
+// measured deltas from the cut and the fork if it is adoptable. A
+// candidate that refuses the region is out of the race, measured by
+// nothing; a fork that cannot be built fails the whole race.
+func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Addr, budget, baseCycles, baseInstr, baseHITM uint64) (repair.TrialResult, *Session, error) {
 	res := repair.TrialResult{Candidate: cand.Name()}
 	snap, err := DecodeSessionState(blob)
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	f, err := s.fork(snap)
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
-	defer f.Close()
+	// Finish the trigger poll the way the parent will after installing
+	// this candidate; its events are the parent's to emit.
+	seconds := f.m.Stats().Seconds()
+	genBefore := f.ctl.Generation()
+	applyErr := repair.ErrDeclined
 	if cand.Name() != repair.DeclineName {
-		if err := f.ctl.ApplyCandidate(cand, pcs); err != nil {
-			res.Err = err.Error()
-			return res, nil
+		if applyErr = f.ctl.ApplyCandidate(cand, pcs); applyErr != nil {
+			res.Err = applyErr.Error()
+			return res, nil, nil
 		}
-		f.repairApplied = true
-		f.refreshRemap()
 	}
+	f.settleRepair(pcs, genBefore, seconds, applyErr)
+	f.trial.pending = nil
+	f.next += f.cfg.PollInterval
+
 	deadline := baseCycles + budget
 	for {
 		done, err := f.Step()
@@ -137,6 +187,9 @@ func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Add
 			res.Err = err.Error()
 			break
 		}
+		f.trial.polls = append(f.trial.polls, trialPoll{events: f.trial.pending, done: done,
+			stats: cloneStats(f.m.Stats()), epoch: f.epoch})
+		f.trial.pending = nil
 		if done {
 			res.Completed = true
 			break
@@ -149,23 +202,100 @@ func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Add
 	res.Cycles = st.Cycles - baseCycles
 	res.Instructions = st.Instructions - baseInstr
 	res.HITMs = st.HITMLoads + st.HITMStores - baseHITM
-	return res, nil
+	if res.Err != "" || f.trial.retrigger {
+		return res, nil, nil
+	}
+	return res, f, nil
 }
 
 // fork builds a trial session from a snapshot, reusing the parent's
 // image and resolved configuration verbatim (so the engine kind always
-// matches). The fork has no observers and an inert repair trigger.
+// matches). The fork's events are queued in its trial log rather than
+// delivered, and its repair trigger only notes that it would have
+// fired: forks never repair, so never recurse into trials.
 func (s *Session) fork(st *SessionState) (*Session, error) {
-	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair}
+	log := new(trialLog)
+	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair,
+		observers: []func(Event){log.record}}
 	f, err := newSession(s.img, set)
 	if err != nil {
 		return nil, err
 	}
-	f.trial = true
+	f.trial = log
 	if err := f.restoreFrom(st); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// replayPoll hands out the adopted fork's next queued poll: its events
+// reach the observers exactly as the parent's own Step would have
+// emitted them. After the last poll the fork's stack is swapped in.
+func (s *Session) replayPoll() bool {
+	polls := s.replay.trial.polls
+	p := &polls[s.replayed]
+	s.replayed++
+	for _, e := range p.events {
+		s.emit(e)
+	}
+	if s.replayed == len(polls) {
+		s.adopt()
+	}
+	return p.done
+}
+
+// replayedPoll returns the queued poll handed out last, or nil outside
+// a replay and before its first poll.
+func (s *Session) replayedPoll() *trialPoll {
+	if s.replayed == 0 {
+		return nil
+	}
+	return &s.replay.trial.polls[s.replayed-1]
+}
+
+// adopt swaps the replayed fork's stack and monitor-loop state in. The
+// machine and controller move together: the machine's alias-miss hook
+// calls the fork's controller. The trial outcome and the repair error
+// stay the parent's — the fork ran before the race was decided.
+func (s *Session) adopt() {
+	f := s.replay
+	s.replay, s.replayed = nil, 0
+	s.m, s.drv, s.pmu, s.pipe, s.ctl = f.m, f.drv, f.pmu, f.pipe, f.ctl
+	s.next, s.done = f.next, f.done
+	s.epoch, s.epochStart, s.epochs = f.epoch, f.epochStart, f.epochs
+	s.epochDrv, s.epochPEBS = f.epochDrv, f.epochPEBS
+	s.lastGen, s.repairApplied, s.covered = f.lastGen, f.repairApplied, f.covered
+	if f.res != nil {
+		res := *f.res
+		res.RepairErr, res.RepairWinner, res.RepairTrials = s.repairErr, s.trialWinner, s.trials
+		s.res = &res
+	}
+}
+
+// materialize ends a replay early, for an observer that needs the whole
+// stack: the fork is dropped and the parent's own stack, still at the
+// cut, silently re-simulates the polls already handed out. The fork's
+// window was adoptable, so those polls neither fail nor fire the
+// trigger, and poll's results carry nothing to act on.
+func (s *Session) materialize() {
+	if s.replay == nil {
+		return
+	}
+	n := s.replayed
+	s.replay, s.replayed = nil, 0
+	s.muted = true
+	defer func() { s.muted = false }()
+	for i := 0; i < n; i++ {
+		_, _ = s.poll()
+	}
+}
+
+// cloneStats deep-copies machine statistics for a queued poll.
+func cloneStats(st *machine.Stats) machine.Stats {
+	c := *st
+	c.CoreCycles = append([]uint64(nil), st.CoreCycles...)
+	c.HITMByPC = maps.Clone(st.HITMByPC)
+	return c
 }
 
 // trialSummary renders the measured trials compactly for the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/repair"
 	"repro/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func TestTrialForksIsolateParent(t *testing.T) {
 	}
 
 	// Race the full candidate slate on the subject only.
-	trials, err := subject.runTrials(contendingStorePCs(subject.img.Prog))
+	trials, _, err := subject.runTrials(contendingStorePCs(subject.img.Prog))
 	if err != nil {
 		t.Fatalf("runTrials: %v", err)
 	}
@@ -142,4 +143,220 @@ func encodeState(t *testing.T, s *Session) []byte {
 		t.Fatalf("CaptureState.Encode: %v", err)
 	}
 	return blob
+}
+
+// twoPhaseImage is trialFSImage with a second phase: after iters1
+// iterations on the first falsely shared line, both threads move to a
+// second line, contended by a different store PC. A trial window that
+// reaches the second phase sees the §4.4 trigger fire again, on fresh
+// candidates.
+func twoPhaseImage(iters1, iters2 int64) *workload.Image {
+	b := isa.NewBuilder().At("phase.c", 100)
+	b.Func("worker")
+	b.Li(1, 0)
+	b.Label("a").Line(102)
+	b.Load(2, 10, 0, 8)
+	b.Load(4, 0, 0, 8)
+	b.Add(4, 4, 2)
+	b.Store(0, 0, 4, 8)
+	b.Line(104).AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, iters1, "a")
+	b.Line(110).Li(1, 0)
+	b.Label("b").Line(112)
+	b.Load(2, 10, 0, 8)
+	b.Load(4, 11, 0, 8)
+	b.Add(4, 4, 2)
+	b.Store(11, 0, 4, 8)
+	b.Line(114).AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, iters2, "b")
+	b.Line(116).Halt()
+	prog := b.Build()
+
+	line, line2 := mem.HeapBase+0x1000, mem.HeapBase+0x4000
+	specs := []machine.ThreadSpec{
+		{Entry: 0, Regs: map[isa.Reg]int64{0: int64(line), 10: int64(line) + 1024, 11: int64(line2)}},
+		{Entry: 0, Regs: map[isa.Reg]int64{0: int64(line) + 16, 10: int64(line) + 2048, 11: int64(line2) + 16}},
+	}
+	return &workload.Image{Prog: prog, Specs: specs, Threads: 2}
+}
+
+// adoptionRun is what one session showed its driver, Step by Step.
+type adoptionRun struct {
+	events   []Event
+	steps    []machine.Stats // Stats() after each Step
+	epochs   []int           // EpochIndex() after each Step
+	res      *Result
+	final    []byte // encoded state at the end
+	replayed bool   // a replay was in progress at some Step boundary
+}
+
+// runAdoption drives a session to completion. capture forces
+// materialization by calling CaptureState after every Step; cut > 0
+// instead checkpoints the session after the cut-th replayed poll,
+// restores the checkpoint and finishes the run on the restored
+// session.
+func runAdoption(t *testing.T, img func() *workload.Image, opts []Option, capture bool, cut int) adoptionRun {
+	t.Helper()
+	var run adoptionRun
+	record := WithObserver(func(e Event) { run.events = append(run.events, e) })
+	s, err := Attach(img(), append(opts, record)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	for {
+		done, err := s.Step()
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		run.steps = append(run.steps, cloneStats(s.Stats()))
+		run.epochs = append(run.epochs, s.EpochIndex())
+		if capture {
+			s.CaptureState()
+		}
+		if s.replay != nil {
+			run.replayed = true
+		}
+		if cut > 0 && s.replay != nil && s.replayed == cut {
+			blob := encodeState(t, s)
+			if s.replay != nil {
+				t.Fatal("CaptureState left the replay in place")
+			}
+			st, err := DecodeSessionState(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if s, err = RestoreSession(img(), st, append(opts, record)...); err != nil {
+				t.Fatalf("RestoreSession: %v", err)
+			}
+			cut = 0
+		}
+		if done {
+			break
+		}
+	}
+	if run.res, err = s.Result(); err != nil {
+		t.Fatal(err)
+	}
+	run.final = encodeState(t, s)
+	return run
+}
+
+// TestTrialAdoptionMatchesResimulation is the adoption oracle: a
+// session that adopts its winning trial fork must be indistinguishable
+// from a twin that re-simulates the fork's window (CaptureState after
+// every Step materializes it) — event for event, Step for Step, in the
+// Result and in the final encoded state — and a checkpoint taken
+// mid-replay must restore into the uninterrupted stream. The cases
+// cover a winner that completed the workload, one stopped by the
+// budget, a measured decline, and a fork the parent may not adopt
+// because the trigger fires again inside its window.
+func TestTrialAdoptionMatchesResimulation(t *testing.T) {
+	build := func(name string, opts workload.Options) func() *workload.Image {
+		return func() *workload.Image {
+			w, ok := workload.Get(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			return w.Build(opts)
+		}
+	}
+	cases := []struct {
+		name      string
+		img       func() *workload.Image
+		opts      []Option
+		adopt     bool
+		winner    string
+		completed bool
+	}{
+		{"completed", build("histogram'", workload.Options{Scale: 0.15, HeapBias: AttachBias}),
+			[]Option{WithAutoPollInterval(0.15), WithSpeculativeRepair(true)}, true, "ssb", true},
+		{"budget", func() *workload.Image { return trialFSImage(30_000) },
+			[]Option{WithPollInterval(50_000), WithSpeculativeRepair(true)}, true, "ssb", false},
+		{"decline", build("linear_regression", workload.Options{Scale: 0.6}),
+			[]Option{WithSpeculativeRepair(true)}, true, repair.DeclineName, true},
+		{"retrigger", func() *workload.Image { return twoPhaseImage(2500, 40_000) },
+			[]Option{WithPollInterval(50_000), WithSpeculativeRepair(true), WithTrialBudget(1_000_000)}, false, "ssb-conservative", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			adopted := runAdoption(t, c.img, c.opts, false, 0)
+			twin := runAdoption(t, c.img, c.opts, true, 0)
+
+			if adopted.replayed != c.adopt {
+				t.Fatalf("adopted the winner's fork: %t, want %t", adopted.replayed, c.adopt)
+			}
+			if twin.replayed {
+				t.Fatal("the materializing twin still had a replay in progress at a Step boundary")
+			}
+			res := adopted.res
+			if res.RepairWinner != c.winner {
+				t.Fatalf("winner %q, want %q", res.RepairWinner, c.winner)
+			}
+			for _, tr := range res.RepairTrials {
+				if tr.Candidate == c.winner && tr.Completed != c.completed {
+					t.Fatalf("winner completed its trial: %t, want %t", tr.Completed, c.completed)
+				}
+			}
+			if c.winner == repair.DeclineName && res.RepairErr == nil {
+				t.Fatal("measured decline left no RepairErr")
+			}
+			if !c.adopt {
+				triggers := 0
+				for _, e := range adopted.events {
+					if _, ok := e.(RepairTriggered); ok {
+						triggers++
+					}
+				}
+				if triggers < 2 {
+					t.Fatalf("RepairTriggered %d times, want a second trigger inside the window", triggers)
+				}
+			}
+			compareAdoption(t, "twin", adopted, twin)
+
+			if c.adopt {
+				restored := runAdoption(t, c.img, c.opts, false, 1)
+				compareAdoption(t, "restored mid-replay", adopted, restored)
+			}
+		})
+	}
+}
+
+func compareAdoption(t *testing.T, what string, want, got adoptionRun) {
+	t.Helper()
+	if len(got.events) != len(want.events) {
+		t.Errorf("%s: %d events, want %d", what, len(got.events), len(want.events))
+	}
+	for i := 0; i < len(got.events) && i < len(want.events); i++ {
+		if !reflect.DeepEqual(got.events[i], want.events[i]) {
+			t.Fatalf("%s: event %d diverged:\ngot  %v\nwant %v", what, i, got.events[i], want.events[i])
+		}
+	}
+	if !reflect.DeepEqual(got.steps, want.steps) {
+		t.Errorf("%s: Stats() after each Step diverged", what)
+	}
+	if !reflect.DeepEqual(got.epochs, want.epochs) {
+		t.Errorf("%s: EpochIndex() after each Step diverged: %v, want %v", what, got.epochs, want.epochs)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	if g, w := errText(got.res.RepairErr), errText(want.res.RepairErr); g != w {
+		t.Errorf("%s: RepairErr %q, want %q", what, g, w)
+	}
+	strip := func(r *Result) Result {
+		c := *r
+		c.Pipeline, c.RepairErr = nil, nil
+		return c
+	}
+	if !reflect.DeepEqual(strip(got.res), strip(want.res)) {
+		t.Errorf("%s: Result diverged:\ngot  %+v\nwant %+v", what, strip(got.res), strip(want.res))
+	}
+	if !bytes.Equal(got.final, want.final) {
+		t.Errorf("%s: final encoded state diverged", what)
+	}
 }
