@@ -20,6 +20,10 @@ func main() {
 	showCases := flag.Bool("cases", false, "print every test case, not just category summaries")
 	cat := flag.String("cat", "", "restrict per-case output to one category (TSRW, FSRW, TSWW, FSWW)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "characterize: unexpected argument %q: characterize takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cases, sums, err := experiments.RunFigure3()
 	if err != nil {

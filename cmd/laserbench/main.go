@@ -6,10 +6,9 @@
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
 //	           [-ascale N] [-pscale N] [-runs N]
 //	           [-speculative-repair=true|false]
-//	           [-cache DIR] [-shard I/N] [-shard-partition cost|hash]
-//	           [-cache-gc AGE] [-cache-gc-bytes N]
+//	           [-cache DIR] [-cache-gc AGE]
 //	           [-fault-plan SPEC] [-unit-retries N]
-//	           [-unit-deadline-floor D] [-unit-backoff D]
+//	           [-unit-deadline D] [-unit-backoff D]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every experiment is a registered spec (enumerated work units plus a
@@ -19,38 +18,29 @@
 // (1 = fully serial). The rendered output is byte-identical at any
 // parallelism — only wall time changes. -exp takes a comma-separated
 // list of experiment or artifact names, "all" or "none"; any other
-// entry is an error.
+// entry is an error, as is a positional argument, -runs below 1, a
+// non-positive or non-finite -ascale/-pscale, or a negative
+// -unit-retries, -unit-deadline, -unit-backoff or -cache-gc.
 //
 // -cache DIR attaches a persistent run cache: every simulation result
 // is content-addressed by (workload, scale, variant, tool, SAV, seed,
 // config fingerprint, code version) and persisted, so re-runs only
-// simulate misses. -shard I/N (0 ≤ I < N, requires -cache) runs the
-// shard warming mode instead of rendering: the selected experiments'
-// work units are partitioned deterministically and only slice I is
-// simulated into the cache. -shard-partition picks the partition:
-// "cost" (default) balances the units' estimated simulation cost across
-// shards so their wall times track each other; "hash" is the historical
-// cache-key-hash split. Run N shards (concurrently, e.g. as a CI matrix
-// sharing the cache directory or merging cache artifacts), then render
-// with a plain `laserbench -cache DIR` — it assembles the figures from
-// cache hits alone, byte-identical to an un-sharded run, and the final
-// "runcache:" stderr line reports simulated=0.
+// simulate misses. A warm run over a cache a cold run filled renders
+// byte-identically while simulating nothing: the final "runcache:"
+// stderr line reports simulated=0.
 //
-// -cache-gc AGE prunes entries whose last access is older than AGE
-// (e.g. 720h) after the run; -cache-gc-bytes N additionally evicts
-// least-recently-used entries until the directory fits N bytes. Both
-// require -cache, refuse to run in shard mode (a shard must not evict
-// its siblings' fresh entries), and never evict entries this run used.
-// `laserbench -cache DIR -exp none -cache-gc 720h` prunes without
-// evaluating anything.
+// -cache-gc AGE (requires -cache) prunes entries whose last access is
+// older than AGE (e.g. 720h) after the run, never evicting entries this
+// run used. `laserbench -cache DIR -exp none -cache-gc 720h` prunes
+// without evaluating anything.
 //
 // -fault-plan SPEC (default $LASER_FAULT_PLAN) arms deterministic
 // fault injection for chaos runs: seeded injected panics, errors and
 // stalls per work-unit attempt plus run-cache read/write faults, all a
 // pure function of (seed, point, site, attempt) so a plan replays
 // identically at any parallelism. Units that fail retry with
-// exponential backoff under a cost-model deadline (-unit-retries,
-// -unit-deadline-floor, -unit-backoff tune the policy); units that
+// exponential backoff under a per-attempt deadline (-unit-retries,
+// -unit-deadline, -unit-backoff tune the policy); units that
 // exhaust the budget are quarantined — their figure renders explicit
 // failure-marker rows, sibling figures render normally, and the
 // process exits non-zero with a one-line failure summary. See
@@ -64,11 +54,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -76,27 +66,81 @@ import (
 	"repro/internal/faultinject"
 )
 
+// options holds laserbench's flags.
+type options struct {
+	exp                       string
+	ascale, pscale            float64
+	runs                      int
+	specRepair                bool
+	faultPlan                 string
+	unitRetries               int
+	unitDeadline, unitBackoff time.Duration
+	cacheDir                  string
+	gcAge                     time.Duration
+	cpuprofile, memprofile    string
+}
+
+// newFlags defines laserbench's flags on a fresh flag set.
+func newFlags(handling flag.ErrorHandling) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("laserbench", handling)
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run (comma separated)")
+	fs.Float64Var(&o.ascale, "ascale", 20, "accuracy experiment scale")
+	fs.Float64Var(&o.pscale, "pscale", 1, "performance experiment scale")
+	fs.IntVar(&o.runs, "runs", 3, "runs per performance data point")
+	fs.BoolVar(&o.specRepair, "speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
+	fs.StringVar(&o.faultPlan, "fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
+	fs.IntVar(&o.unitRetries, "unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
+	fs.DurationVar(&o.unitDeadline, "unit-deadline", 0, "per-attempt work-unit deadline (0 = default 30s)")
+	fs.DurationVar(&o.unitBackoff, "unit-backoff", 0, "backoff before the first unit retry, doubling per attempt (0 = default 100ms)")
+	fs.StringVar(&o.cacheDir, "cache", "", "persistent run-cache directory")
+	fs.DurationVar(&o.gcAge, "cache-gc", 0, "evict cache entries not accessed for this long after the run (requires -cache; 0 disables)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
+	return fs, o
+}
+
+// validate rejects values the flag parser accepts but no run can mean,
+// before any simulation starts; args are the positional arguments left
+// after the flags. Each error names the offending flag or argument.
+func (o *options) validate(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q: laserbench takes no positional arguments (select several experiments with -exp a,b)", args[0])
+	}
+	if o.runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1", o.runs)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-ascale", o.ascale}, {"-pscale", o.pscale}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %g: want a positive finite scale", f.name, f.v)
+		}
+	}
+	if o.unitRetries < 0 {
+		return fmt.Errorf("-unit-retries %d: want 0 (default) or more", o.unitRetries)
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"-unit-deadline", o.unitDeadline}, {"-unit-backoff", o.unitBackoff}, {"-cache-gc", o.gcAge}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %s: want 0 (default) or a positive duration", f.name, f.v)
+		}
+	}
+	if o.gcAge > 0 && o.cacheDir == "" {
+		return fmt.Errorf("-cache-gc requires -cache")
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (comma separated)")
-	ascale := flag.Float64("ascale", 20, "accuracy experiment scale")
-	pscale := flag.Float64("pscale", 1, "performance experiment scale")
-	runs := flag.Int("runs", 3, "runs per performance data point")
-	specRepair := flag.Bool("speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
-	faultPlan := flag.String("fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
-	unitRetries := flag.Int("unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
-	unitDeadlineFloor := flag.Duration("unit-deadline-floor", 0, "minimum per-unit deadline (0 = default 30s)")
-	unitBackoff := flag.Duration("unit-backoff", 0, "backoff before the first unit retry, doubling per attempt (0 = default 100ms)")
-	cacheDir := flag.String("cache", "", "persistent run-cache directory")
-	shardSpec := flag.String("shard", "", "warm shard I/N of the selected experiments into -cache, without rendering")
-	shardPartition := flag.String("shard-partition", "cost", "shard partition mode: cost (balance estimated simulation cost) or hash (by cache key)")
-	gcAge := flag.Duration("cache-gc", 0, "evict cache entries not accessed for this long after the run (requires -cache; 0 disables)")
-	gcBytes := flag.Int64("cache-gc-bytes", 0, "then evict least-recently-used entries until the cache fits this many bytes (0 disables)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
+	fs, o := newFlags(flag.ExitOnError)
+	fs.Parse(os.Args[1:])
 
 	printCacheStats := func() {
-		if *cacheDir == "" {
+		if o.cacheDir == "" {
 			return
 		}
 		st := experiments.CacheStats()
@@ -113,11 +157,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	want, err := parseExp(*exp)
+	if err := o.validate(fs.Args()); err != nil {
+		fail(err)
+	}
+	want, err := parseExp(o.exp)
 	if err != nil {
 		fail(err)
 	}
-	planSpec := *faultPlan
+	planSpec := o.faultPlan
 	if planSpec == "" {
 		planSpec = os.Getenv("LASER_FAULT_PLAN")
 	}
@@ -131,13 +178,8 @@ func main() {
 		// exact same faults, regardless of interleaving.
 		fmt.Fprintf(os.Stderr, "laserbench: fault injection enabled: %s\n", plan)
 	}
-	runOpts := experiments.RunOptions{
-		MaxAttempts:   *unitRetries,
-		DeadlineFloor: *unitDeadlineFloor,
-		BackoffBase:   *unitBackoff,
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fail(err)
 		}
@@ -148,8 +190,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *cacheDir != "" {
-		if err := experiments.SetCacheDir(*cacheDir); err != nil {
+	if o.cacheDir != "" {
+		if err := experiments.SetCacheDir(o.cacheDir); err != nil {
 			fail(err)
 		}
 		// The stats line is what the CI warm-run smoke test asserts
@@ -157,15 +199,36 @@ func main() {
 		// os.Exit skips deferred calls.)
 		defer printCacheStats()
 	}
-	gcWanted := *gcAge > 0 || *gcBytes > 0
-	if gcWanted && *cacheDir == "" {
-		fail(fmt.Errorf("-cache-gc requires -cache"))
+
+	cfg := experiments.Config{AccuracyScale: o.ascale, PerfScale: o.pscale, Runs: o.runs, SpeculativeRepair: o.specRepair}
+	all := want["all"]
+	start := time.Now()
+	// Figures stream to stdout as each experiment assembles, so a
+	// failure late in a long evaluation keeps everything rendered so
+	// far on the terminal. Quarantined specs stream explicit failure
+	// markers; the run keeps going and the exit status reports them.
+	runOpts := experiments.RunOptions{
+		Progress:    os.Stderr,
+		MaxAttempts: o.unitRetries,
+		Deadline:    o.unitDeadline,
+		BackoffBase: o.unitBackoff,
+		OnSpec: func(res experiments.SpecResult) {
+			for _, a := range res.Rendered.Artifacts {
+				if all || want[a.Name] || want[res.Spec.Name] {
+					fmt.Println(a.Text)
+				}
+			}
+		},
 	}
-	runGC := func() {
-		if !gcWanted {
-			return
-		}
-		st, err := experiments.CacheGC(*gcAge, *gcBytes)
+	results, sum, err := experiments.Run(cfg, func(e string) bool { return all || want[e] }, runOpts)
+	if err != nil {
+		fail(err)
+	}
+	if len(results) > 0 {
+		fmt.Fprintf(os.Stderr, "laserbench: %d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
+	}
+	if o.gcAge > 0 {
+		st, err := experiments.CacheGC(o.gcAge)
 		if err != nil {
 			fail(fmt.Errorf("cache-gc: %w", err))
 		}
@@ -173,62 +236,8 @@ func main() {
 			st.Evicted, st.Scanned, float64(st.EvictedBytes)/(1<<20), float64(st.RemainingBytes)/(1<<20), st.Pinned)
 	}
 
-	cfg := experiments.Config{AccuracyScale: *ascale, PerfScale: *pscale, Runs: *runs, SpeculativeRepair: *specRepair}
-	all := want["all"]
-	wantFn := func(e string) bool { return all || want[e] }
-
-	if *shardSpec != "" {
-		if *cacheDir == "" {
-			fail(fmt.Errorf("-shard requires -cache"))
-		}
-		if gcWanted {
-			fail(fmt.Errorf("-cache-gc must run from the assembling invocation, not a shard warm (a shard would evict its siblings' fresh entries)"))
-		}
-		// Parse strictly — Sscanf would accept trailing garbage like
-		// "1/2x" and silently warm the wrong partition.
-		is, ns, ok := strings.Cut(*shardSpec, "/")
-		shard, err1 := strconv.Atoi(is)
-		n, err2 := strconv.Atoi(ns)
-		if !ok || err1 != nil || err2 != nil || n < 1 || shard < 0 || shard >= n {
-			fail(fmt.Errorf("invalid -shard %q: want I/N with 0 <= I < N", *shardSpec))
-		}
-		mode := experiments.PartitionMode(*shardPartition)
-		owned, total, sum, err := experiments.RunShard(cfg, wantFn, shard, n, mode, runOpts, os.Stderr)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "laserbench: shard %d/%d warmed %d of %d work units into %s\n",
-			shard, n, owned, total, *cacheDir)
-		if sum.Failed() {
-			fail(fmt.Errorf("shard FAILED: %s", sum))
-		}
-		return
-	}
-
-	start := time.Now()
-	// Figures stream to stdout as each experiment assembles, so a
-	// failure late in a long evaluation keeps everything rendered so
-	// far on the terminal. Quarantined specs stream explicit failure
-	// markers; the run keeps going and the exit status reports them.
-	runOpts.Progress = os.Stderr
-	runOpts.OnSpec = func(res experiments.SpecResult) {
-		for _, a := range res.Rendered.Artifacts {
-			if all || want[a.Name] || want[res.Spec.Name] {
-				fmt.Println(a.Text)
-			}
-		}
-	}
-	results, sum, err := experiments.Run(cfg, wantFn, runOpts)
-	if err != nil {
-		fail(err)
-	}
-	if len(results) > 0 {
-		fmt.Fprintf(os.Stderr, "laserbench: %d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
-	}
-	runGC()
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fail(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,6 +43,45 @@ func TestParseExp(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parseExp(%q) = %v, want %v", tc.list, got, want)
+		}
+	}
+}
+
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // what the error must name; "" when the flags are valid
+	}{
+		{args: nil},
+		{args: []string{"-exp", "fig13", "-pscale", "0.3", "-runs", "1"}},
+		{args: []string{"-unit-retries", "0", "-unit-deadline", "0", "-unit-backoff", "0", "-cache-gc", "0"}},
+		{args: []string{"-cache", "dir", "-cache-gc", "720h"}},
+		{args: []string{"-exp", "fig3", "fig13"}, bad: `"fig13"`},
+		{args: []string{"-runs", "0"}, bad: "-runs"},
+		{args: []string{"-runs", "-2"}, bad: "-runs"},
+		{args: []string{"-ascale", "0"}, bad: "-ascale"},
+		{args: []string{"-ascale", "NaN"}, bad: "-ascale"},
+		{args: []string{"-pscale", "-1"}, bad: "-pscale"},
+		{args: []string{"-pscale", "0"}, bad: "-pscale"},
+		{args: []string{"-pscale", "+Inf"}, bad: "-pscale"},
+		{args: []string{"-unit-retries", "-1"}, bad: "-unit-retries"},
+		{args: []string{"-unit-deadline", "-1s"}, bad: "-unit-deadline"},
+		{args: []string{"-unit-backoff", "-1ms"}, bad: "-unit-backoff"},
+		{args: []string{"-cache", "dir", "-cache-gc", "-1h"}, bad: "-cache-gc"},
+		{args: []string{"-cache-gc", "720h"}, bad: "-cache-gc requires -cache"},
+	} {
+		fs, o := newFlags(flag.ContinueOnError)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: parse: %v", tc.args, err)
+		}
+		err := o.validate(fs.Args())
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		case tc.bad != "" && err == nil:
+			t.Errorf("%v: accepted, want an error naming %s", tc.args, tc.bad)
+		case tc.bad != "" && !strings.Contains(err.Error(), tc.bad):
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.bad)
 		}
 	}
 }

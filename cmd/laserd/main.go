@@ -58,6 +58,9 @@ func main() {
 	ckptEvents := flag.Int("checkpoint-events", 0, "checkpoint cadence in emitted events (0 = default 256)")
 	ckptCycles := flag.Uint64("checkpoint-cycles", 0, "checkpoint cadence in simulated cycles (0 = default 25M)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("laserd: unexpected argument %q: laserd takes flags only", flag.Arg(0))
+	}
 
 	if spec := os.Getenv("LASER_FAULT_PLAN"); spec != "" {
 		plan, err := faultinject.Parse(spec)

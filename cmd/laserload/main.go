@@ -76,6 +76,10 @@ func main() {
 	ckptEvents := flag.Int("checkpoint-events", 8, "spawned daemon's checkpoint cadence in events")
 	restarts := flag.Int("chaos-restart", 0, "SIGKILL and reboot the spawned daemon this many times mid-load")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "laserload: unexpected argument %q: laserload takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *sessions < 1 || *concurrency < 1 || *seeds < 1 {
 		fmt.Fprintln(os.Stderr, "laserload: -sessions, -concurrency, -seeds must be positive")
 		os.Exit(2)

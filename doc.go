@@ -57,11 +57,10 @@
 //
 // The experiment harness in internal/experiments is a registry of
 // declarative experiment specs: each figure enumerates its cacheable
-// simulations as cost-estimated work units and assembles its artifacts
-// from a persistent content-addressed run cache (internal/runcache),
-// while a single executor fans the units out across all host cores,
-// deduplicates them across experiments, and can partition them into a
-// cost-balanced shard matrix (see DESIGN.md, "The experiment
+// simulations as work units and assembles its artifacts from a
+// persistent content-addressed run cache (internal/runcache), while a
+// single executor fans the units out across all host cores and
+// deduplicates them across experiments (see DESIGN.md, "The experiment
 // registry"). Each simulation runs on the serial engine.
 // LASER_BENCH_PARALLEL selects the pool worker count (default
 // GOMAXPROCS; 1 recovers the serial harness); results are assembled in

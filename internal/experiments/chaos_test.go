@@ -137,7 +137,7 @@ func TestRunPermanentFaultQuarantines(t *testing.T) {
 	}
 }
 
-// A stalled unit is preempted by its cost-model deadline, retried, and
+// A stalled unit is preempted by its deadline, retried, and
 // recovers when the stall is bounded to the first attempt.
 func TestRunDeadlinePreemptsStall(t *testing.T) {
 	resetCache()
@@ -146,10 +146,12 @@ func TestRunDeadlinePreemptsStall(t *testing.T) {
 	want := func(e string) bool { return e == "fig3" }
 
 	// One characterization unit stalls 30s on its first attempt; the
-	// shrunk deadline floor preempts it in ~50ms and the retry passes.
+	// shrunk deadline preempts it in ~250ms and the retry passes. The
+	// deadline applies to every unit, so it must stay well above a
+	// healthy characterization case's wall time under -race.
 	enableFaults(t, "seed=2;unit.stall:p=1,attempts=1,delay=30s,match=char/FSRW/0")
 	opts := chaosOpts()
-	opts.DeadlineFloor = 50 * time.Millisecond
+	opts.Deadline = 250 * time.Millisecond
 	start := time.Now()
 	_, sum, err := Run(cfg, want, opts)
 	if err != nil {

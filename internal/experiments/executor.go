@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"repro/internal/faultinject"
@@ -15,18 +14,14 @@ import (
 // print order, executes every selected spec's work units on the
 // inter-run worker pool, deduplicates units across experiments by cache
 // key, accounts per-unit cache hits versus simulations, and assembles
-// each spec's artifacts only after its units are in the cache. Shard
-// mode (RunShard) runs the same enumeration but executes only a
-// deterministic partition of it — by estimated cost (LPT) or by the
-// historical key hash — warming a shared cache directory instead of
-// rendering.
+// each spec's artifacts only after its units are in the cache.
 //
 // Execution is chaos-hardened: every work unit runs under recover()
-// with a deadline derived from the cost model and a bounded
-// exponential-backoff retry. A unit that exhausts its budget is
-// quarantined — its spec renders explicit marker rows instead of real
-// artifacts, sibling units and sibling specs keep running — and the
-// run's FailureSummary records every quarantined and retried unit.
+// with a flat per-attempt deadline and a bounded exponential-backoff
+// retry. A unit that exhausts its budget is quarantined — its spec
+// renders explicit marker rows instead of real artifacts, sibling units
+// and sibling specs keep running — and the run's FailureSummary records
+// every quarantined and retried unit.
 
 // SpecResult is one executed experiment: its rendered artifacts plus
 // the executor's accounting.
@@ -63,15 +58,11 @@ func (r *SpecResult) Failed() bool { return len(r.Failures) > 0 }
 const (
 	// defaultMaxAttempts bounds tries per failing work unit.
 	defaultMaxAttempts = 3
-	// defaultDeadlineFloor is the minimum per-unit deadline: tiny units
-	// (characterization cases, small-scale CI configs) get a generous
-	// absolute floor instead of a meaninglessly small scaled one.
-	defaultDeadlineFloor = 30 * time.Second
-	// defaultDeadlineScale is the per-unit deadline budget in seconds
-	// per cost-model unit (cost.go's abstract units, ~0.03 s/unit
-	// observed at CI scale — the default budgets two orders of
-	// magnitude of slack before calling a unit stalled).
-	defaultDeadlineScale = 5.0
+	// defaultDeadline is the per-attempt deadline of every unit: the
+	// slowest unit of a paper-scale evaluation takes about 2 s on a
+	// 2-core host, so 30 s calls a unit stalled only with an order of
+	// magnitude of slack.
+	defaultDeadline = 30 * time.Second
 	// defaultBackoffBase is the delay before the first retry; it
 	// doubles per subsequent attempt.
 	defaultBackoffBase = 100 * time.Millisecond
@@ -89,14 +80,9 @@ type RunOptions struct {
 	// MaxAttempts bounds how many times a failing work unit is tried
 	// before quarantine (0 = defaultMaxAttempts).
 	MaxAttempts int
-	// DeadlineFloor is the minimum per-unit deadline
-	// (0 = defaultDeadlineFloor).
-	DeadlineFloor time.Duration
-	// DeadlineScale is the per-unit deadline budget in seconds per
-	// cost-model unit; the deadline is
-	// max(DeadlineFloor, DeadlineScale × unit cost)
-	// (0 = defaultDeadlineScale).
-	DeadlineScale float64
+	// Deadline bounds each attempt of a work unit
+	// (0 = defaultDeadline).
+	Deadline time.Duration
 	// BackoffBase is the delay before the first retry, doubling per
 	// attempt (0 = defaultBackoffBase).
 	BackoffBase time.Duration
@@ -104,42 +90,27 @@ type RunOptions struct {
 
 // runPolicy is RunOptions' retry policy with defaults applied.
 type runPolicy struct {
-	maxAttempts   int
-	deadlineFloor time.Duration
-	deadlineScale float64
-	backoffBase   time.Duration
+	maxAttempts int
+	deadline    time.Duration
+	backoffBase time.Duration
 }
 
 func (o RunOptions) policy() runPolicy {
 	p := runPolicy{
-		maxAttempts:   o.MaxAttempts,
-		deadlineFloor: o.DeadlineFloor,
-		deadlineScale: o.DeadlineScale,
-		backoffBase:   o.BackoffBase,
+		maxAttempts: o.MaxAttempts,
+		deadline:    o.Deadline,
+		backoffBase: o.BackoffBase,
 	}
 	if p.maxAttempts <= 0 {
 		p.maxAttempts = defaultMaxAttempts
 	}
-	if p.deadlineFloor <= 0 {
-		p.deadlineFloor = defaultDeadlineFloor
-	}
-	if p.deadlineScale <= 0 {
-		p.deadlineScale = defaultDeadlineScale
+	if p.deadline <= 0 {
+		p.deadline = defaultDeadline
 	}
 	if p.backoffBase <= 0 {
 		p.backoffBase = defaultBackoffBase
 	}
 	return p
-}
-
-// deadline derives a unit's per-attempt deadline from its cost-model
-// estimate: the scaled estimate, floored for tiny units.
-func (p runPolicy) deadline(cost float64) time.Duration {
-	d := time.Duration(cost * p.deadlineScale * float64(time.Second))
-	if d < p.deadlineFloor {
-		d = p.deadlineFloor
-	}
-	return d
 }
 
 // executor carries one run's chaos-hardening state across specs: the
@@ -188,14 +159,13 @@ func (x *executor) runAttempt(u WorkUnit, attempt int) error {
 		}
 		done <- u.Run()
 	}()
-	deadline := x.pol.deadline(u.Cost)
-	timer := time.NewTimer(deadline)
+	timer := time.NewTimer(x.pol.deadline)
 	defer timer.Stop()
 	select {
 	case err := <-done:
 		return err
 	case <-timer.C:
-		return &unitTimeoutError{label: u.Label, deadline: deadline}
+		return &unitTimeoutError{label: u.Label, deadline: x.pol.deadline}
 	}
 }
 
@@ -329,7 +299,7 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 				continue
 			}
 			executed[id] = true
-			if oc, _, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed && phaseIDs[id] {
+			if oc, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed && phaseIDs[id] {
 				res.Simulated++
 			} else {
 				res.CacheHits++
@@ -368,157 +338,4 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		out = append(out, res)
 	}
 	return out, &x.summary, nil
-}
-
-// PartitionMode selects the deterministic work-unit partition of a
-// shard matrix.
-type PartitionMode string
-
-// Partition modes.
-const (
-	// PartitionCost balances estimated simulation cost across shards
-	// (greedy LPT over the static cost model) so shard wall times track
-	// each other instead of whichever shard the key hash hands the
-	// accuracy-scale heavyweights to. The default.
-	PartitionCost PartitionMode = "cost"
-	// PartitionHash is the historical partition by cache-key hash:
-	// spread is uniform in unit count but oblivious to cost.
-	PartitionHash PartitionMode = "hash"
-)
-
-// partitionByCost assigns every unit an owner shard in [0, n) by
-// longest-processing-time greedy: units in descending cost order (key
-// ID breaking ties) each go to the currently lightest shard (lowest
-// index on equal load). The result is a pure function of the unit set —
-// input order cannot matter, because the sort key is total — so every
-// process enumerating the same configuration derives the same
-// partition. Greedy LPT bounds the heaviest shard by the cost mean plus
-// one maximal unit (and by 4/3 of optimal).
-func partitionByCost(units []WorkUnit, n int) []int {
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ua, ub := units[order[a]], units[order[b]]
-		if ua.Cost != ub.Cost {
-			return ua.Cost > ub.Cost
-		}
-		return ua.Key.ID() < ub.Key.ID()
-	})
-	owner := make([]int, len(units))
-	load := make([]float64, n)
-	for _, idx := range order {
-		best := 0
-		for s := 1; s < n; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		owner[idx] = best
-		load[best] += units[idx].Cost
-	}
-	return owner
-}
-
-// partitionOwners assigns every unit an owner shard in [0, n) under
-// the given mode — RunShard's partition step, separated so the
-// back-compat contract (hash mode is exactly the historical Key.Shard
-// split) stays testable without simulating anything.
-func partitionOwners(units []WorkUnit, n int, mode PartitionMode) ([]int, error) {
-	switch mode {
-	case PartitionCost, "":
-		return partitionByCost(units, n), nil
-	case PartitionHash:
-		owners := make([]int, len(units))
-		for i, u := range units {
-			owners[i] = u.Key.Shard(n)
-		}
-		return owners, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown partition mode %q (want %q or %q)",
-			mode, PartitionCost, PartitionHash)
-	}
-}
-
-// enumerateAll lists the selected specs' work units in registry order,
-// deduplicated across experiments by cache key — the exact unit set the
-// executor would run, which is what a shard matrix partitions.
-func enumerateAll(cfg Config, want func(exp string) bool) []WorkUnit {
-	seen := make(map[string]bool)
-	var units []WorkUnit
-	for _, spec := range Specs() {
-		if !selected(spec, want) {
-			continue
-		}
-		for _, u := range spec.Enumerate(cfg) {
-			if id := u.Key.ID(); !seen[id] {
-				seen[id] = true
-				units = append(units, u)
-			}
-		}
-	}
-	return units
-}
-
-// RunShard executes the shard'th of n deterministic slices of the
-// selected experiments' work units on the experiment pool, warming the
-// attached cache. It returns how many units this shard owns out of the
-// enumerated total, plus the shard's failure summary: units run under
-// the same per-unit recover/deadline/retry policy as Run, failures
-// don't abort sibling units, and the caller decides the process outcome
-// from summary.Failed(). Progress and the estimated/observed cost
-// summary (the cost-model calibration signal) go to w when non-nil.
-func RunShard(cfg Config, want func(exp string) bool, shard, n int, mode PartitionMode, opt RunOptions, w io.Writer) (owned, total int, sum *FailureSummary, err error) {
-	if n < 1 || shard < 0 || shard >= n {
-		return 0, 0, nil, fmt.Errorf("experiments: shard %d/%d out of range", shard, n)
-	}
-	units := enumerateAll(cfg, want)
-	owners, err := partitionOwners(units, n, mode)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	var mine []WorkUnit
-	var mineCost, allCost float64
-	for i, u := range units {
-		allCost += u.Cost
-		if owners[i] == shard {
-			mine = append(mine, u)
-			mineCost += u.Cost
-		}
-	}
-	if w != nil {
-		fmt.Fprintf(w, "shard %d/%d owns %d of %d work units (%s partition, est cost %.1f of %.1f)\n",
-			shard, n, len(mine), len(units), modeName(mode), mineCost, allCost)
-	}
-	x := newExecutor(opt.policy())
-	fails := make([]*UnitFailure, len(mine))
-	retries := make([]*UnitRetry, len(mine))
-	forEach(len(mine), func(i int) error {
-		fails[i], retries[i] = x.runUnit("shard", mine[i])
-		return nil
-	})
-	x.fold(fails, retries)
-	if w != nil && mineCost > 0 {
-		var observed float64
-		for _, u := range mine {
-			if oc, cost, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed {
-				observed += cost
-			}
-		}
-		// A warm re-run (every unit a cache hit) observed nothing; a zero
-		// ratio would pollute the calibration signal, so skip the line.
-		if observed > 0 {
-			fmt.Fprintf(w, "shard %d/%d simulated %.1fs wall for est cost %.1f (calibration ratio %.3g s/unit)\n",
-				shard, n, observed, mineCost, observed/mineCost)
-		}
-	}
-	return len(mine), len(units), &x.summary, nil
-}
-
-func modeName(mode PartitionMode) PartitionMode {
-	if mode == "" {
-		return PartitionCost
-	}
-	return mode
 }

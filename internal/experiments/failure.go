@@ -22,7 +22,7 @@ import (
 const (
 	// FaultPanic: the attempt panicked (recovered by the executor).
 	FaultPanic = "panic"
-	// FaultTimeout: the attempt outlived its cost-model deadline (an
+	// FaultTimeout: the attempt outlived its per-unit deadline (an
 	// injected stall the deadline preempted lands here; one the deadline
 	// missed stays "injected:unit.stall").
 	FaultTimeout = "timeout"

@@ -107,8 +107,7 @@ const simCores = 4
 // parallelism knobs are byte-identity-preserving and deliberately
 // excluded — so results memoize across figures and repetitions
 // in-process, and, once SetCacheDir attaches a directory, across
-// processes: incremental re-runs only simulate cache misses, and an
-// N-way shard matrix (laserbench -shard) can split a full evaluation.
+// processes: incremental re-runs only simulate cache misses.
 var cache = runcache.NewMemory()
 
 // SetCacheDir attaches a persistent cache directory (creating it if
@@ -131,8 +130,8 @@ func CacheStats() runcache.Stats { return cache.Stats() }
 // (see runcache.Store.GC); without an attached directory it is a no-op.
 // Entries the current process has already served are never evicted, so
 // an evaluation can GC its own cache after assembling.
-func CacheGC(maxAge time.Duration, maxBytes int64) (runcache.GCStats, error) {
-	return cache.GC(maxAge, maxBytes)
+func CacheGC(maxAge time.Duration) (runcache.GCStats, error) {
+	return cache.GC(maxAge)
 }
 
 // resetCache drops all cached runs (tests use it to force
@@ -245,9 +244,9 @@ func (r *laserRun) RepairError() error {
 }
 
 // laserKey builds the cache key (and the exact configuration) of one
-// full-stack LASER run; runLaser and the shard-mode work-unit
-// enumeration share it, so a shard warms precisely the entries the
-// figure runners will look up.
+// full-stack LASER run; runLaser and the work-unit enumeration share
+// it, so the executor warms precisely the entries the figure runners
+// will look up.
 func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int64) (runcache.Key, laser.Config) {
 	cfg := laser.DefaultConfig()
 	if sav > 0 {

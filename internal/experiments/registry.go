@@ -10,28 +10,20 @@ import (
 
 // The experiment registry: every experiment of the evaluation is a
 // declarative Spec — Enumerate lists the cacheable simulations (work
-// units, each with a static cost estimate) the experiment needs, and
-// Assemble renders its artifacts from the run cache. The executor
-// (executor.go) owns the run loop end to end: it executes each selected
-// spec's units on the worker pool (deduplicated across experiments by
-// cache key), partitions units deterministically for shard matrices,
-// accounts per-unit cache hits and simulations, and only then asks the
-// spec to assemble — so a warmed cache assembles every figure without
-// simulating a single workload. The historical design, where a separate
-// hand-written enumeration in shard.go mirrored the figure runners run
-// for run, is gone: a runner and its unit list live in one file, and
-// the registry completeness test pins Enumerate against covering less
-// than Assemble consumes.
+// units) the experiment needs, and Assemble renders its artifacts from
+// the run cache. The executor (executor.go) owns the run loop end to
+// end: it executes each selected spec's units on the worker pool
+// (deduplicated across experiments by cache key), accounts per-unit
+// cache hits and simulations, and only then asks the spec to assemble —
+// so a warmed cache assembles every figure without simulating a single
+// workload. A runner and its unit list live in one file, and the
+// registry completeness test pins Enumerate against covering less than
+// Assemble consumes.
 
 // WorkUnit is one cacheable simulation of the evaluation.
 type WorkUnit struct {
 	Key   runcache.Key
 	Label string
-	// Cost estimates the unit's simulation wall time in the calibrated
-	// cost model's units (cost.go); the cost-balanced shard partition
-	// weighs units by it. Always positive, and identical in every
-	// process enumerating the same configuration.
-	Cost float64
 	// Run computes the unit (through the run cache).
 	Run func() error
 }
@@ -62,8 +54,8 @@ type Spec struct {
 	// measurement renders tab1, tab2 and fig9 from one set of runs.
 	Artifacts []string
 	// Enumerate lists the experiment's work units at this configuration.
-	// It must be a pure function of cfg: every process (shard matrices
-	// in particular) derives the same units with the same costs.
+	// It must be a pure function of cfg: a warm run over a cache another
+	// process filled must derive the same keys.
 	Enumerate func(cfg Config) []WorkUnit
 	// Assemble renders the artifacts. Under the executor every unit has
 	// been executed first, so Assemble is pure cache assembly; called
@@ -77,8 +69,8 @@ func Specs() []*Spec { return allSpecs }
 
 // allSpecs is the registry, in the order the evaluation prints. Each
 // spec is defined next to its runner (fig3.go, accuracy.go, perf.go);
-// registering here is what plugs a new figure into the executor, the
-// shard partition and the completeness tests all at once.
+// registering here is what plugs a new figure into the executor and the
+// completeness tests at once.
 var allSpecs = []*Spec{
 	fig3Spec,
 	accuracySpec,
@@ -113,7 +105,7 @@ func init() { validateRegistry() }
 // unitSet accumulates a spec's work units, deduplicated by cache key —
 // e.g. every seed of a figure that normalizes against one native
 // baseline contributes that baseline once. The typed add methods attach
-// the cost model's estimate and the canonical label.
+// the canonical label.
 type unitSet struct {
 	units []WorkUnit
 	seen  map[string]bool
@@ -123,16 +115,15 @@ func newUnitSet() *unitSet {
 	return &unitSet{seen: make(map[string]bool)}
 }
 
-func (u *unitSet) add(key runcache.Key, cost float64, label string, run func() error) {
+func (u *unitSet) add(key runcache.Key, label string, run func() error) {
 	if id := key.ID(); !u.seen[id] {
 		u.seen[id] = true
-		u.units = append(u.units, WorkUnit{Key: key, Label: label, Cost: cost, Run: run})
+		u.units = append(u.units, WorkUnit{Key: key, Label: label, Run: run})
 	}
 }
 
 func (u *unitSet) native(name string, scale float64, v workload.Variant) {
-	u.add(nativeKey(name, scale, v), simCost("native", name, scale),
-		fmt.Sprintf("native/%s@%g/v%d", name, scale, v),
+	u.add(nativeKey(name, scale, v), fmt.Sprintf("native/%s@%g/v%d", name, scale, v),
 		func() error { _, err := runNative(name, scale, v); return err })
 }
 
@@ -142,34 +133,30 @@ func (u *unitSet) laser(name string, scale float64, repairOn, spec bool, sav int
 	if spec && repairOn {
 		label += "/spec"
 	}
-	u.add(key, simCost("laser", name, scale), label,
+	u.add(key, label,
 		func() error { _, err := runLaser(name, scale, repairOn, spec, sav, seed); return err })
 }
 
 func (u *unitSet) laserProbe(name string, scale float64, sav int, seed int64) {
 	key, _ := laserProbeKey(name, scale, sav, seed)
-	u.add(key, simCost("laser", name, scale),
-		fmt.Sprintf("laser/%s@%g/probe/sav%d/seed%d", name, scale, sav, seed),
+	u.add(key, fmt.Sprintf("laser/%s@%g/probe/sav%d/seed%d", name, scale, sav, seed),
 		func() error { _, err := runLaserProbe(name, scale, sav, seed); return err })
 }
 
 func (u *unitSet) vtune(name string, scale float64, seed int64) {
 	key, _ := vtuneKey(name, scale, seed)
-	u.add(key, simCost("vtune", name, scale),
-		fmt.Sprintf("vtune/%s@%g/seed%d", name, scale, seed),
+	u.add(key, fmt.Sprintf("vtune/%s@%g/seed%d", name, scale, seed),
 		func() error { _, err := runVTune(name, scale, seed); return err })
 }
 
 func (u *unitSet) sheriff(name string, scale float64, mode sheriff.Mode, force bool) {
-	u.add(sheriffKey(name, scale, mode, force), simCost("sheriff", name, scale),
-		fmt.Sprintf("sheriff/%s@%g/mode%d", name, scale, mode),
+	u.add(sheriffKey(name, scale, mode, force), fmt.Sprintf("sheriff/%s@%g/mode%d", name, scale, mode),
 		func() error { _, err := runSheriff(name, scale, mode, force); return err })
 }
 
 func (u *unitSet) char(cat CharCategory, variant int) {
 	key, _ := charKey(cat, variant)
-	u.add(key, simCost("char", string(cat), 0),
-		fmt.Sprintf("char/%s/%d", cat, variant),
+	u.add(key, fmt.Sprintf("char/%s/%d", cat, variant),
 		func() error { _, err := runCharCase(cat, variant); return err })
 }
 

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/runcache"
 )
 
 // The registry's static shape: specs and artifacts unique, every spec
-// enumerable with strictly positive unit costs.
+// enumerable into complete work units.
 func TestRegistryShape(t *testing.T) {
 	cfg := QuickConfig()
 	names := map[string]bool{}
@@ -33,9 +30,6 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("%s: enumerates no work units", spec.Name)
 		}
 		for _, u := range units {
-			if u.Cost <= 0 {
-				t.Errorf("%s: unit %s has non-positive cost %g", spec.Name, u.Label, u.Cost)
-			}
 			if u.Run == nil || u.Label == "" {
 				t.Errorf("%s: unit %s incomplete", spec.Name, u.Label)
 			}
@@ -133,138 +127,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	if st := CacheStats(); st.Computes != 0 {
 		t.Errorf("warm executor pass simulated %d units (stats %+v)", st.Computes, st)
-	}
-}
-
-// syntheticUnits builds a unit set with a deterministic spread of costs
-// (no Run needed: partitioning never executes).
-func syntheticUnits(n int) []WorkUnit {
-	units := make([]WorkUnit, n)
-	for i := range units {
-		units[i] = WorkUnit{
-			Key:   runcache.Key{Tool: "synthetic", Workload: fmt.Sprintf("w%03d", i), Version: "t"},
-			Label: fmt.Sprintf("synthetic/%d", i),
-			Cost:  0.01 + float64((i*7919)%100)/7.0,
-		}
-	}
-	return units
-}
-
-func TestPartitionByCostDeterministicAndBalanced(t *testing.T) {
-	units := syntheticUnits(137)
-	const n = 4
-	owners := partitionByCost(units, n)
-	if len(owners) != len(units) {
-		t.Fatalf("assignment covers %d of %d units", len(owners), len(units))
-	}
-
-	// Deterministic across calls.
-	if again := partitionByCost(units, n); !reflect.DeepEqual(owners, again) {
-		t.Error("partition differs between identical calls")
-	}
-
-	// Input-order invariant: the owner of a unit depends on the unit
-	// set, not on enumeration order.
-	reversed := make([]WorkUnit, len(units))
-	for i, u := range units {
-		reversed[len(units)-1-i] = u
-	}
-	revOwners := partitionByCost(reversed, n)
-	byID := map[string]int{}
-	for i, u := range reversed {
-		byID[u.Key.ID()] = revOwners[i]
-	}
-	for i, u := range units {
-		if byID[u.Key.ID()] != owners[i] {
-			t.Fatalf("unit %s owned by shard %d forwards but %d reversed", u.Label, owners[i], byID[u.Key.ID()])
-		}
-	}
-
-	// The LPT balance bound: no shard exceeds the mean load by more
-	// than one maximal unit.
-	loads := make([]float64, n)
-	var total, maxCost float64
-	for i, u := range units {
-		if owners[i] < 0 || owners[i] >= n {
-			t.Fatalf("unit %d assigned to shard %d", i, owners[i])
-		}
-		loads[owners[i]] += u.Cost
-		total += u.Cost
-		if u.Cost > maxCost {
-			maxCost = u.Cost
-		}
-	}
-	bound := total/n + maxCost
-	for s, l := range loads {
-		if l == 0 {
-			t.Errorf("shard %d received no load: %v", s, loads)
-		}
-		if l > bound+1e-9 {
-			t.Errorf("shard %d load %.2f exceeds the LPT bound %.2f (loads %v)", s, l, bound, loads)
-		}
-	}
-}
-
-// On the real evaluation's unit set, the cost partition's estimated
-// spread must be no worse than the key-hash partition's — tighter in
-// practice; the hash is cost-oblivious and routinely lands the
-// accuracy-scale heavyweights on one shard.
-func TestCostPartitionTighterThanHash(t *testing.T) {
-	units := enumerateAll(DefaultConfig(), func(string) bool { return true })
-	if len(units) == 0 {
-		t.Fatal("no units")
-	}
-	spread := func(owners []int, n int) float64 {
-		loads := make([]float64, n)
-		for i, u := range units {
-			loads[owners[i]] += u.Cost
-		}
-		min, max := loads[0], loads[0]
-		for _, l := range loads[1:] {
-			if l < min {
-				min = l
-			}
-			if l > max {
-				max = l
-			}
-		}
-		return max - min
-	}
-	for _, n := range []int{2, 4} {
-		cost := partitionByCost(units, n)
-		hash := make([]int, len(units))
-		for i, u := range units {
-			hash[i] = u.Key.Shard(n)
-		}
-		cs, hs := spread(cost, n), spread(hash, n)
-		if cs > hs {
-			t.Errorf("n=%d: cost partition spread %.2f worse than hash %.2f", n, cs, hs)
-		}
-		t.Logf("n=%d: est cost spread %.2f (cost partition) vs %.2f (hash)", n, cs, hs)
-	}
-}
-
-// RunShard's hash mode must stay exactly the historical Key.Shard
-// split: caches warmed by older trees keep their meaning.
-func TestHashPartitionMatchesKeyShard(t *testing.T) {
-	units := syntheticUnits(60)
-	const n = 3
-	owners, err := partitionOwners(units, n, PartitionHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(owners) != len(units) {
-		t.Fatalf("assignment covers %d of %d units", len(owners), len(units))
-	}
-	spread := map[int]int{}
-	for i, u := range units {
-		if owners[i] != u.Key.Shard(n) {
-			t.Errorf("unit %s: hash mode assigned shard %d, Key.Shard says %d", u.Label, owners[i], u.Key.Shard(n))
-		}
-		spread[owners[i]]++
-	}
-	if len(spread) < 2 {
-		t.Errorf("hash partition sent all 60 units to one shard: %v", spread)
 	}
 }
 

@@ -22,13 +22,6 @@ var corruptionModes = map[string]func(data []byte) []byte{
 	"truncated": func(data []byte) []byte { return data[:len(data)/2] },
 	"bad-magic": func(data []byte) []byte { return append([]byte("x"), data...) },
 	"empty":     func([]byte) []byte { return nil },
-	"bad-cost": func(data []byte) []byte {
-		// Valid magic and key, unparsable cost metadata.
-		line1, rest, _ := splitLine(data)
-		line2, rest, _ := splitLine(rest)
-		_, rest, _ = splitLine(rest)
-		return append([]byte(line1+"\n"+line2+"\ncost=NaNaNaN\n"), rest...)
-	},
 }
 
 // Corrupt-entry recompute racing a concurrent GC pass: N goroutines Do
@@ -91,7 +84,7 @@ func TestCorruptRecomputeRacesGC(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.GC(time.Nanosecond, 1); err != nil {
+			if _, err := s.GC(time.Nanosecond); err != nil {
 				t.Errorf("GC: %v", err)
 				return
 			}
@@ -170,7 +163,7 @@ func TestInjectedTruncationRecomputesUnderGC(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.GC(time.Hour, 0); err != nil {
+			if _, err := s.GC(time.Hour); err != nil {
 				t.Errorf("GC: %v", err)
 				return
 			}
@@ -224,7 +217,7 @@ func TestGCTempReapingThresholdOption(t *testing.T) {
 	if err := os.WriteFile(freshTemp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GC(time.Hour, 0); err != nil {
+	if _, err := s.GC(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

@@ -3,7 +3,6 @@ package runcache
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 )
@@ -18,52 +17,49 @@ type GCStats struct {
 	EvictedBytes int64
 	// Remaining bytes after the pass.
 	RemainingBytes int64
-	// Pinned entries that matched an eviction rule but were kept because
+	// Pinned entries that the age rule matched but that were kept because
 	// this process has already served them (mid-run safety).
 	Pinned int
 }
 
-// GC prunes the disk layer of a long-lived cache directory. Two rules
-// compose:
+// GC prunes the disk layer of a long-lived cache directory: maxAge > 0
+// evicts entries whose last access is older than maxAge. Last access is
+// the entry file's mtime, which every disk hit re-touches, so entries an
+// evaluation still reads stay young no matter when they were computed.
+// Entries are keyed by code version, so the age rule is also what
+// reclaims every dead revision's entries. A non-positive maxAge evicts
+// nothing.
 //
-//   - maxAge > 0 evicts entries whose last access is older than maxAge.
-//     Last access is the entry file's mtime, which every disk hit
-//     re-touches, so entries an evaluation still reads stay young no
-//     matter when they were computed.
-//   - maxBytes > 0 evicts least-recently-accessed entries until the
-//     remaining total fits, after the age rule has run.
+// Entries this process has already served (present in the in-memory
+// layer) are never evicted: an evaluation sharing the store can GC
+// mid-run without losing results it has touched. Stale temp files from
+// crashed writers (older than the store's temp-age threshold — one hour
+// unless Open was given WithTempMaxAge) are also removed; they count
+// toward no entry statistic.
 //
-// Either rule is disabled by a non-positive limit. Entries this process
-// has already served (present in the in-memory layer) are never evicted:
-// an evaluation sharing the store can GC mid-run without losing results
-// it has touched. Stale temp files from crashed writers (older than the
-// store's temp-age threshold — one hour unless Open was given
-// WithTempMaxAge) are also removed; they count toward neither entry
-// statistic.
-//
-// Concurrent shard processes warming the same directory may race a GC
-// pass; the atomic write protocol keeps every outcome safe (a concurrent
-// writer either fully re-creates an evicted entry or loses the rename),
-// but eviction decisions then reflect a snapshot. Run GC from the
-// assembling process, not from shard warms.
-func (s *Store) GC(maxAge time.Duration, maxBytes int64) (GCStats, error) {
+// Another process writing the same directory may race a GC pass; the
+// atomic write protocol keeps every outcome safe (a concurrent writer
+// either fully re-creates an evicted entry or loses the rename), but
+// eviction decisions then reflect a snapshot.
+func (s *Store) GC(maxAge time.Duration) (GCStats, error) {
 	var st GCStats
 	if s.dir == "" {
 		return st, nil
 	}
-	type diskEntry struct {
-		id    string
-		path  string
-		size  int64
-		atime time.Time
+	// Entries already served in this process are load-bearing mid-run.
+	pinned := make(map[string]bool)
+	s.mu.Lock()
+	for id := range s.mem {
+		pinned[id] = true
 	}
-	var entries []diskEntry
+	s.mu.Unlock()
+
 	now := time.Now()
-	shards, err := os.ReadDir(s.dir)
+	subdirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		return st, err
 	}
-	for _, sd := range shards {
+	for _, sd := range subdirs {
 		if !sd.IsDir() {
 			continue
 		}
@@ -80,89 +76,27 @@ func (s *Store) GC(maxAge time.Duration, maxBytes int64) (GCStats, error) {
 			if err != nil {
 				continue
 			}
+			age := now.Sub(info.ModTime())
 			if !strings.HasSuffix(f.Name(), ".lrc") {
 				// A leftover temp file from a crashed writer; reap it once
 				// it is old enough that no live rename can still want it.
-				tempAge := s.tempMaxAge
-				if tempAge <= 0 {
-					tempAge = defaultTempMaxAge
-				}
-				if strings.Contains(f.Name(), ".tmp-") && now.Sub(info.ModTime()) > tempAge {
+				if strings.Contains(f.Name(), ".tmp-") && age > s.tempMaxAge {
 					os.Remove(path)
 				}
 				continue
 			}
-			entries = append(entries, diskEntry{
-				id:    strings.TrimSuffix(f.Name(), ".lrc"),
-				path:  path,
-				size:  info.Size(),
-				atime: info.ModTime(),
-			})
-		}
-	}
-	st.Scanned = len(entries)
-	for _, e := range entries {
-		st.ScannedBytes += e.size
-	}
-
-	// Entries already served in this process are load-bearing mid-run.
-	pinned := make(map[string]bool)
-	s.mu.Lock()
-	for id := range s.mem {
-		pinned[id] = true
-	}
-	s.mu.Unlock()
-
-	// Oldest last-access first: the age rule scans everything, the size
-	// rule then evicts from the front until the remainder fits.
-	sort.Slice(entries, func(i, j int) bool {
-		if !entries[i].atime.Equal(entries[j].atime) {
-			return entries[i].atime.Before(entries[j].atime)
-		}
-		return entries[i].id < entries[j].id
-	})
-	remaining := st.ScannedBytes
-	evict := func(e diskEntry) {
-		if os.Remove(e.path) == nil {
-			st.Evicted++
-			st.EvictedBytes += e.size
-			remaining -= e.size
-		}
-	}
-	// Pinned counts entries, not rule hits: one entry both rules wanted
-	// to evict is still one pinned entry.
-	pinnedHit := make(map[string]bool)
-	pin := func(e diskEntry) {
-		if !pinnedHit[e.id] {
-			pinnedHit[e.id] = true
-			st.Pinned++
-		}
-	}
-	kept := entries[:0]
-	for _, e := range entries {
-		if maxAge > 0 && now.Sub(e.atime) > maxAge {
-			if pinned[e.id] {
-				pin(e)
-				kept = append(kept, e)
-				continue
+			st.Scanned++
+			st.ScannedBytes += info.Size()
+			switch {
+			case maxAge <= 0 || age <= maxAge:
+			case pinned[strings.TrimSuffix(f.Name(), ".lrc")]:
+				st.Pinned++
+			case os.Remove(path) == nil:
+				st.Evicted++
+				st.EvictedBytes += info.Size()
 			}
-			evict(e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if maxBytes > 0 {
-		for _, e := range kept {
-			if remaining <= maxBytes {
-				break
-			}
-			if pinned[e.id] {
-				pin(e)
-				continue
-			}
-			evict(e)
 		}
 	}
-	st.RemainingBytes = remaining
+	st.RemainingBytes = st.ScannedBytes - st.EvictedBytes
 	return st, nil
 }

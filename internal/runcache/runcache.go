@@ -5,17 +5,15 @@
 // version — so its results (machine statistics, coherence counts,
 // HITM-by-PC tables, detection reports) can be cached under a hash of
 // those parameters and reused by later evaluations, across processes:
-// a full evaluation can be partitioned over an N-way CI matrix with
-// each shard warming one slice of the cache, and an incremental re-run
-// only simulates cache misses.
+// an incremental re-run only simulates cache misses.
 //
 // The store is two layers. The in-memory layer gives singleflight
 // memoization within a process (concurrent requests for one key run the
 // computation once). The disk layer, enabled by opening the store with
 // a directory, persists entries as checksummed files sharded over
 // 256 subdirectories, written atomically (temp file + rename) so
-// concurrent writers — shard processes sharing one cache directory —
-// can never expose a torn entry; corrupt or truncated files are
+// concurrent writers — processes sharing one cache directory — can
+// never expose a torn entry; corrupt or truncated files are
 // detected by checksum, removed, and transparently recomputed.
 package runcache
 
@@ -25,11 +23,8 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,18 +73,6 @@ func (k Key) canonical() string {
 func (k Key) ID() string {
 	sum := sha256.Sum256([]byte(k.canonical()))
 	return hex.EncodeToString(sum[:])
-}
-
-// Shard returns the key's owner shard in [0, n): a deterministic
-// partition of the key space, used to split a full evaluation across an
-// n-way process matrix.
-func (k Key) Shard(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(k.ID()))
-	return int(h.Sum32() % uint32(n))
 }
 
 // Stats counts store activity since creation.
@@ -148,14 +131,11 @@ type entry struct {
 	once sync.Once
 	val  any
 	err  error
-	// outcome records how this process first served the key; cost is the
-	// observed simulation wall time in seconds — measured when the entry
-	// was computed here, or decoded from the persisted entry's metadata
-	// on a disk hit. Both are written once inside once.Do and guarded by
-	// the store mutex: Lookup may race the first Do (the documented
-	// in-flight case) and must not tear a read.
+	// outcome records how this process first served the key. It is
+	// written once inside once.Do and guarded by the store mutex: Lookup
+	// may race the first Do (the documented in-flight case) and must not
+	// tear a read.
 	outcome Outcome
-	cost    float64
 }
 
 // Outcome describes how a store first served a key in this process.
@@ -244,21 +224,20 @@ func Do[T any](s *Store, key Key, compute func() (T, error)) (T, error) {
 	}
 	s.mu.Unlock()
 
-	setServed := func(outcome Outcome, cost float64) {
+	setServed := func(outcome Outcome) {
 		s.mu.Lock()
-		e.outcome, e.cost = outcome, cost
+		e.outcome = outcome
 		s.mu.Unlock()
 	}
 	computed := false
 	var panicked any
 	e.once.Do(func() {
 		computed = true
-		if cost, ok := s.loadDisk(id, key, &zero); ok {
+		if s.loadDisk(id, key, &zero) {
 			e.val = zero
-			setServed(DiskHit, cost)
+			setServed(DiskHit)
 			return
 		}
-		start := time.Now()
 		val, err := func() (v T, err error) {
 			// A panicking simulation must not poison the entry (sync.Once
 			// counts a panicking f as done, which would leave waiters a
@@ -274,10 +253,9 @@ func Do[T any](s *Store, key Key, compute func() (T, error)) (T, error) {
 		}()
 		s.computes.Add(1)
 		e.val, e.err = val, err
-		cost := time.Since(start).Seconds()
-		setServed(Computed, cost)
+		setServed(Computed)
 		if err == nil {
-			s.saveDisk(id, key, val, cost)
+			s.saveDisk(id, key, val)
 		}
 	})
 	if !computed {
@@ -306,53 +284,45 @@ func Do[T any](s *Store, key Key, compute func() (T, error)) (T, error) {
 }
 
 // Lookup reports how this process first served key — simulated
-// (Computed) or decoded from the disk layer (DiskHit) — plus the
-// observed simulation cost in seconds: the wall time of the compute when
-// it ran here, or the cost persisted in the entry's metadata on a disk
-// hit. ok is false while the key has not been requested (or its first
-// request is still in flight). The executor's per-unit hit/miss
-// accounting and the cost-model calibration report both read it.
-func (s *Store) Lookup(key Key) (outcome Outcome, cost float64, ok bool) {
+// (Computed) or decoded from the disk layer (DiskHit). ok is false while
+// the key has not been requested (or its first request is still in
+// flight). The executor's per-unit hit/miss accounting reads it.
+func (s *Store) Lookup(key Key) (outcome Outcome, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.mem[key.ID()]
 	if e == nil || e.outcome == None {
-		return None, 0, false
+		return None, false
 	}
-	return e.outcome, e.cost, true
+	return e.outcome, true
 }
 
-// Entry file layout (version 2; v1 entries fail the magic check, count
-// as corrupt and are recomputed — the cost metadata line is new):
+// Entry file layout (version 3; entries of older versions fail the
+// magic check, count as corrupt and are recomputed):
 //
-//	laser-runcache v2\n
+//	laser-runcache v3\n
 //	<canonical key>\n
-//	cost=<observed compute seconds>\n
 //	<hex sha256 of payload>\n
 //	<gob payload>
 //
 // A persisted entry's mtime doubles as its last-access time: every disk
 // hit re-touches the file, so Store.GC can age out entries that no
 // evaluation has read in a long time without a separate index.
-const fileMagic = "laser-runcache v2"
-
-// costPrefix introduces the observed-cost metadata line.
-const costPrefix = "cost="
+const fileMagic = "laser-runcache v3"
 
 func (s *Store) path(id string) string {
 	return filepath.Join(s.dir, id[:2], id+".lrc")
 }
 
-// loadDisk decodes the persisted entry for id into dst (a *T) and
-// returns its observed-cost metadata. A missing file is a plain miss;
-// anything malformed — bad magic (including v1 entries), wrong key,
-// unparsable cost line, checksum mismatch, truncation, undecodable
-// payload — counts as corrupt, removes the file, and reports a miss so
-// the entry is recomputed. A successful hit re-touches the file's mtime,
+// loadDisk decodes the persisted entry for id into dst (a *T). A
+// missing file is a plain miss; anything malformed — bad magic
+// (including older versions' entries), wrong key, checksum mismatch,
+// truncation, undecodable payload — counts as corrupt, removes the
+// file, and reports a miss so the entry is recomputed. A successful hit re-touches the file's mtime,
 // maintaining the last-access time GC evicts by.
-func (s *Store) loadDisk(id string, key Key, dst any) (float64, bool) {
+func (s *Store) loadDisk(id string, key Key, dst any) bool {
 	if s.dir == "" {
-		return 0, false
+		return false
 	}
 	path := s.path(id)
 	data, err := os.ReadFile(path)
@@ -361,12 +331,12 @@ func (s *Store) loadDisk(id string, key Key, dst any) (float64, bool) {
 		// miss: only content that fails validation below is treated as
 		// corrupt and removed — a healthy entry another process paid to
 		// compute must never be deleted over a transient error.
-		return 0, false
+		return false
 	}
 	if faultinject.Error(faultinject.PointCacheReadErr, key.canonical(), 1) != nil {
 		// Injected I/O error: same contract as the real one above — a
 		// plain miss, recomputed, never treated as corruption.
-		return 0, false
+		return false
 	}
 	// Injected mid-read truncation lands on the validation path below
 	// exactly like a real torn entry: checksum mismatch, drop, recompute.
@@ -374,43 +344,32 @@ func (s *Store) loadDisk(id string, key Key, dst any) (float64, bool) {
 	rest, ok := cutHeaderLine(data, fileMagic)
 	if !ok {
 		s.dropCorrupt(path)
-		return 0, false
+		return false
 	}
 	rest, ok = cutHeaderLine(rest, key.canonical())
 	if !ok {
 		s.dropCorrupt(path)
-		return 0, false
-	}
-	var costLine string
-	costLine, rest, ok = splitLine(rest)
-	if !ok || !strings.HasPrefix(costLine, costPrefix) {
-		s.dropCorrupt(path)
-		return 0, false
-	}
-	cost, err := strconv.ParseFloat(costLine[len(costPrefix):], 64)
-	if err != nil || cost < 0 {
-		s.dropCorrupt(path)
-		return 0, false
+		return false
 	}
 	var sumHex string
 	sumHex, rest, ok = splitLine(rest)
 	if !ok {
 		s.dropCorrupt(path)
-		return 0, false
+		return false
 	}
 	sum := sha256.Sum256(rest)
 	if hex.EncodeToString(sum[:]) != sumHex {
 		s.dropCorrupt(path)
-		return 0, false
+		return false
 	}
 	if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(dst); err != nil {
 		s.dropCorrupt(path)
-		return 0, false
+		return false
 	}
 	s.diskHits.Add(1)
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort last-access for GC
-	return cost, true
+	return true
 }
 
 func (s *Store) dropCorrupt(path string) {
@@ -420,10 +379,9 @@ func (s *Store) dropCorrupt(path string) {
 
 // saveDisk persists val for id atomically: the entry is staged in a
 // temp file in the destination directory and renamed into place, so
-// readers (and concurrent writers in other shard processes) only ever
-// see complete entries. cost is the observed compute wall time in
-// seconds, stored as entry metadata.
-func (s *Store) saveDisk(id string, key Key, val any, cost float64) {
+// readers (and concurrent writers in other processes) only ever see
+// complete entries.
+func (s *Store) saveDisk(id string, key Key, val any) {
 	if s.dir == "" {
 		return
 	}
@@ -452,11 +410,10 @@ func (s *Store) saveDisk(id string, key Key, val any, cost float64) {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	// CreateTemp's 0600 would make entries unreadable to other users of
-	// a shared cache directory (the documented shard workflow).
+	// a shared cache directory.
 	err = tmp.Chmod(0o644)
 	if err == nil {
-		_, err = fmt.Fprintf(tmp, "%s\n%s\n%s%s\n%s\n", fileMagic, key.canonical(),
-			costPrefix, strconv.FormatFloat(cost, 'g', -1, 64), hex.EncodeToString(sum[:]))
+		_, err = fmt.Fprintf(tmp, "%s\n%s\n%s\n", fileMagic, key.canonical(), hex.EncodeToString(sum[:]))
 	}
 	if err == nil {
 		_, err = tmp.Write(payload.Bytes())

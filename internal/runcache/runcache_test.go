@@ -343,7 +343,7 @@ func TestConcurrentStoresSharedDir(t *testing.T) {
 	}
 }
 
-func TestKeyIdentityAndSharding(t *testing.T) {
+func TestKeyIdentity(t *testing.T) {
 	a, b := testKey(1), testKey(1)
 	if a.ID() != b.ID() {
 		t.Error("equal keys hash differently")
@@ -356,29 +356,6 @@ func TestKeyIdentityAndSharding(t *testing.T) {
 	c.Extra = "repair=false"
 	if a.ID() == c.ID() {
 		t.Error("different extras share an ID")
-	}
-
-	// Shard: deterministic, in range, and reasonably spread.
-	const n = 4
-	counts := make([]int, n)
-	for i := int64(0); i < 400; i++ {
-		k := testKey(i)
-		sh := k.Shard(n)
-		if sh != k.Shard(n) {
-			t.Fatal("shard not deterministic")
-		}
-		if sh < 0 || sh >= n {
-			t.Fatalf("shard %d out of range", sh)
-		}
-		counts[sh]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d received no keys: %v", i, counts)
-		}
-	}
-	if testKey(1).Shard(1) != 0 || testKey(1).Shard(0) != 0 {
-		t.Error("degenerate shard counts must map to 0")
 	}
 }
 
@@ -395,33 +372,25 @@ func TestCodeVersionOverride(t *testing.T) {
 	}
 }
 
-// Lookup: per-key outcome and observed-cost metadata, round-tripped
-// through the persisted entry.
-func TestLookupOutcomeAndCost(t *testing.T) {
+// Lookup: per-key outcome, computed in one store and a disk hit in a
+// fresh store over the same directory.
+func TestLookupOutcome(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s1.Lookup(testKey(1)); ok {
+	if _, ok := s1.Lookup(testKey(1)); ok {
 		t.Error("unrequested key reports an outcome")
 	}
-	if _, err := Do(s1, testKey(1), func() (*payload, error) {
-		time.Sleep(20 * time.Millisecond)
-		return testPayload(), nil
-	}); err != nil {
+	if _, err := Do(s1, testKey(1), func() (*payload, error) { return testPayload(), nil }); err != nil {
 		t.Fatal(err)
 	}
-	oc, cost, ok := s1.Lookup(testKey(1))
-	if !ok || oc != Computed {
+	if oc, ok := s1.Lookup(testKey(1)); !ok || oc != Computed {
 		t.Fatalf("computed key: outcome %v ok=%v", oc, ok)
 	}
-	if cost < 0.015 {
-		t.Errorf("observed cost %.4fs, want >= the compute's 20ms", cost)
-	}
 
-	// A fresh store over the same dir serves the entry from disk and
-	// reads the persisted cost back.
+	// A fresh store over the same dir serves the entry from disk.
 	s2, _ := Open(dir)
 	if _, err := Do(s2, testKey(1), func() (*payload, error) {
 		t.Fatal("computed despite persisted entry")
@@ -429,12 +398,8 @@ func TestLookupOutcomeAndCost(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	oc2, cost2, ok := s2.Lookup(testKey(1))
-	if !ok || oc2 != DiskHit {
-		t.Fatalf("persisted key: outcome %v ok=%v", oc2, ok)
-	}
-	if cost2 != cost {
-		t.Errorf("persisted cost %.6f differs from observed %.6f", cost2, cost)
+	if oc, ok := s2.Lookup(testKey(1)); !ok || oc != DiskHit {
+		t.Fatalf("persisted key: outcome %v ok=%v", oc, ok)
 	}
 }
 
@@ -463,7 +428,7 @@ func TestGCAgeRule(t *testing.T) {
 	backdate(t, s1.path(testKey(2).ID()), 48*time.Hour)
 
 	gcer, _ := Open(dir) // a separate process doing maintenance
-	st, err := gcer.GC(24*time.Hour, 0)
+	st, err := gcer.GC(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +471,7 @@ func TestGCDiskHitRefreshesLastAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcer, _ := Open(dir)
-	st, err := gcer.GC(24*time.Hour, 0)
+	st, err := gcer.GC(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,49 +480,9 @@ func TestGCDiskHitRefreshesLastAccess(t *testing.T) {
 	}
 }
 
-func TestGCSizeRuleEvictsLRUFirst(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := make(map[int64]int64)
-	for k := int64(1); k <= 5; k++ {
-		if _, err := Do(s, testKey(k), func() (*payload, error) { return testPayload(), nil }); err != nil {
-			t.Fatal(err)
-		}
-		path := s.path(testKey(k).ID())
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[k] = info.Size()
-		// Strictly older access for lower k: key 1 is the LRU victim.
-		backdate(t, path, time.Duration(10-k)*time.Hour)
-	}
-
-	// Budget for exactly the three youngest entries: 1 and 2 must go.
-	budget := sizes[3] + sizes[4] + sizes[5]
-	gcer, _ := Open(dir)
-	st, err := gcer.GC(0, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Evicted != 2 || st.RemainingBytes != budget {
-		t.Errorf("GC stats = %+v, want 2 evicted and %d bytes remaining", st, budget)
-	}
-	for k := int64(1); k <= 5; k++ {
-		_, statErr := os.Stat(s.path(testKey(k).ID()))
-		gone := statErr != nil
-		if wantGone := k <= 2; gone != wantGone {
-			t.Errorf("key %d: evicted=%v, want %v (LRU order)", k, gone, wantGone)
-		}
-	}
-}
-
 // Entries the running process has already served are never evicted, no
-// matter how stale or oversized the directory: a mid-run GC cannot pull
-// results out from under the evaluation that is using them.
+// matter how stale: a mid-run GC cannot pull results out from under the
+// evaluation that is using them.
 func TestGCNeverEvictsInUseEntries(t *testing.T) {
 	dir := t.TempDir()
 	writer, _ := Open(dir)
@@ -578,15 +503,14 @@ func TestGCNeverEvictsInUseEntries(t *testing.T) {
 		}
 		backdate(t, eval.path(testKey(k).ID()), 48*time.Hour)
 	}
-	st, err := eval.GC(time.Nanosecond, 1) // both rules maximally aggressive
+	st, err := eval.GC(time.Nanosecond) // the age rule maximally aggressive
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Evicted != 1 {
 		t.Errorf("GC evicted %d entries, want only the unused key 3 (%+v)", st.Evicted, st)
 	}
-	// Both rules wanted both in-use entries; Pinned counts entries, not
-	// rule hits.
+	// The age rule wanted both in-use entries.
 	if st.Pinned != 2 {
 		t.Errorf("GC pinned %d, want exactly the 2 in-use entries (%+v)", st.Pinned, st)
 	}
@@ -600,7 +524,7 @@ func TestGCNeverEvictsInUseEntries(t *testing.T) {
 // GC on a memory-only store is a no-op, not an error.
 func TestGCMemoryOnly(t *testing.T) {
 	s := NewMemory()
-	st, err := s.GC(time.Hour, 1)
+	st, err := s.GC(time.Hour)
 	if err != nil || st.Scanned != 0 || st.Evicted != 0 {
 		t.Errorf("memory-only GC: %+v, %v", st, err)
 	}

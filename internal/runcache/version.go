@@ -14,9 +14,8 @@ const schemaVersion = "s1"
 // are only shared between processes running the same code. Resolution
 // order:
 //
-//  1. LASER_RUNCACHE_VERSION, when set — CI matrices pin it to the
-//     commit SHA so every shard of one workflow run agrees even if
-//     build-info stamping differs between jobs;
+//  1. LASER_RUNCACHE_VERSION, when set — it pins the version when
+//     processes built differently must share one cache directory;
 //  2. the VCS revision stamped into the binary (plus a "+dirty" marker
 //     for modified trees), when available;
 //  3. "dev" — local builds without VCS stamping (notably `go test`
