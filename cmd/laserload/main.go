@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,55 +61,82 @@ import (
 // — is the same regardless of the server's configured ceiling.
 const clientMaxCycles = 50_000_000
 
-func main() {
-	url := flag.String("url", "http://127.0.0.1:8347", "laserd base URL (ignored with -daemon)")
-	sessions := flag.Int("sessions", 120, "total sessions to drive")
-	concurrency := flag.Int("concurrency", 120, "concurrent client goroutines")
-	seeds := flag.Int("seeds", 8, "distinct session seeds (and reference streams)")
-	iters := flag.Int64("iters", 20_000, "custom image loop iterations")
-	poll := flag.Uint64("poll", 5_000, "session poll interval in cycles")
-	sav := flag.Int("sav", 2, "PEBS sample-after value")
-	out := flag.String("out", "BENCH_PR7.json", "benchmark report output path")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-session deadline")
-	daemon := flag.String("daemon", "", "laserd binary to spawn (required for -chaos-restart)")
-	daemonAddr := flag.String("daemon-addr", "127.0.0.1:18351", "listen address for the spawned daemon")
-	stateDir := flag.String("state-dir", "", "state dir for the spawned daemon (default: a temp dir)")
-	ckptEvents := flag.Int("checkpoint-events", 8, "spawned daemon's checkpoint cadence in events")
-	restarts := flag.Int("chaos-restart", 0, "SIGKILL and reboot the spawned daemon this many times mid-load")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "laserload: unexpected argument %q: laserload takes flags only\n", flag.Arg(0))
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit status. Every exit goes
+// through its deferred cleanup, so a spawned daemon is stopped and its
+// temporary state dir removed on failure paths too; SIGINT and SIGTERM
+// run the same cleanup before exiting.
+func run(args []string) int {
+	fs := flag.NewFlagSet("laserload", flag.ContinueOnError)
+	url := fs.String("url", "http://127.0.0.1:8347", "laserd base URL (ignored with -daemon)")
+	sessions := fs.Int("sessions", 120, "total sessions to drive")
+	concurrency := fs.Int("concurrency", 120, "concurrent client goroutines")
+	seeds := fs.Int("seeds", 8, "distinct session seeds (and reference streams)")
+	iters := fs.Int64("iters", 20_000, "custom image loop iterations")
+	poll := fs.Uint64("poll", 5_000, "session poll interval in cycles")
+	sav := fs.Int("sav", 2, "PEBS sample-after value")
+	out := fs.String("out", "BENCH_PR7.json", "benchmark report output path")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-session deadline")
+	daemon := fs.String("daemon", "", "laserd binary to spawn (required for -chaos-restart)")
+	daemonAddr := fs.String("daemon-addr", "127.0.0.1:18351", "listen address for the spawned daemon")
+	stateDir := fs.String("state-dir", "", "state dir for the spawned daemon (default: a temp dir)")
+	ckptEvents := fs.Int("checkpoint-events", 8, "spawned daemon's checkpoint cadence in events")
+	restarts := fs.Int("chaos-restart", 0, "SIGKILL and reboot the spawned daemon this many times mid-load")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "laserload: unexpected argument %q: laserload takes flags only\n", fs.Arg(0))
+		return 2
 	}
 	if *sessions < 1 || *concurrency < 1 || *seeds < 1 {
 		fmt.Fprintln(os.Stderr, "laserload: -sessions, -concurrency, -seeds must be positive")
-		os.Exit(2)
+		return 2
 	}
 	if *restarts > 0 && *daemon == "" {
 		fmt.Fprintln(os.Stderr, "laserload: -chaos-restart needs -daemon (laserload must own the process it kills)")
-		os.Exit(2)
+		return 2
 	}
 
 	var dc *daemonCtl
 	if *daemon != "" {
-		dir := *stateDir
+		dir, tempDir := *stateDir, ""
 		if dir == "" {
 			var err error
 			if dir, err = os.MkdirTemp("", "laserload-state-*"); err != nil {
 				fmt.Fprintf(os.Stderr, "laserload: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
-			defer os.RemoveAll(dir)
+			tempDir = dir
 		}
 		dc = &daemonCtl{
 			path: *daemon, addr: *daemonAddr, stateDir: dir,
 			url: "http://" + *daemonAddr, ckptEvents: *ckptEvents,
 		}
+		cleanup := func() {
+			dc.stop()
+			if tempDir != "" {
+				os.RemoveAll(tempDir)
+			}
+		}
+		defer cleanup()
+		sigs := make(chan os.Signal, 1)
+		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+		defer func() { signal.Stop(sigs); close(sigs) }()
+		go func() {
+			if sig, ok := <-sigs; ok {
+				fmt.Fprintf(os.Stderr, "laserload: %v: stopping the daemon\n", sig)
+				cleanup()
+				os.Exit(1)
+			}
+		}()
 		if err := dc.start(); err != nil {
 			fmt.Fprintf(os.Stderr, "laserload: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		defer dc.stop()
 		*url = dc.url
 	}
 
@@ -120,12 +148,12 @@ func main() {
 	}
 	if err := getJSON(*url+"/version", &ver); err != nil {
 		fmt.Fprintf(os.Stderr, "laserload: %s unreachable: %v\n", *url, err)
-		os.Exit(1)
+		return 1
 	}
 	if ver.MaxSessionCycles < clientMaxCycles {
 		fmt.Fprintf(os.Stderr, "laserload: server budget %d < client cap %d; streams would diverge by design\n",
 			ver.MaxSessionCycles, clientMaxCycles)
-		os.Exit(1)
+		return 1
 	}
 
 	// One reference stream per seed, computed in-process up front.
@@ -136,7 +164,7 @@ func main() {
 		ref, err := referenceStream(req)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "laserload: reference seed %d: %v\n", s, err)
-			os.Exit(1)
+			return 1
 		}
 		refs[s] = ref
 	}
@@ -199,14 +227,14 @@ func main() {
 	blob = append(blob, '\n')
 	if err := os.WriteFile(*out, blob, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "laserload: write %s: %v\n", *out, err)
-		os.Exit(1)
+		return 1
 	}
 	os.Stdout.Write(blob)
 	if rep.Divergences > 0 || rep.Failures > 0 {
 		p := rep.FailuresByPhase
 		fmt.Fprintf(os.Stderr, "laserload: FAILED: divergences=%d attach=%d run=%d stream=%d delete=%d\n",
 			rep.Divergences, p["attach"], p["run"], p["stream"], p["delete"])
-		os.Exit(1)
+		return 1
 	}
 	if *restarts > 0 {
 		fmt.Fprintf(os.Stderr, "laserload: ok: %d restarts injected, %d sessions recovered, %d quarantined, zero divergence\n",
@@ -214,9 +242,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "laserload: ok: %.1f sessions/sec, peak %d concurrent, %d events byte-identical\n",
 		rep.SessionsPerSec, rep.PeakConcurrent, rep.Events)
+	return 0
 }
 
 // daemonCtl owns a spawned laserd process across kills and reboots.
+// The chaos goroutine restarts it while a signal may stop it, so the
+// process handle is guarded, and once stopped it is never started again.
 type daemonCtl struct {
 	path       string
 	addr       string
@@ -224,20 +255,34 @@ type daemonCtl struct {
 	stateDir   string
 	ckptEvents int
 
-	cmd *exec.Cmd
+	mu      sync.Mutex
+	cmd     *exec.Cmd // nil when no daemon is running
+	stopped bool
 }
 
+// daemonHealthWait bounds how long start waits for a spawned daemon's
+// /healthz.
+var daemonHealthWait = 30 * time.Second
+
 // start spawns the daemon and waits for /healthz — which a durable
-// daemon answers only after recovery has finished.
+// daemon answers only after recovery has finished. A daemon that never
+// becomes healthy is killed and reaped before start returns its error.
 func (d *daemonCtl) start() error {
+	d.mu.Lock()
+	if d.stopped {
+		d.mu.Unlock()
+		return fmt.Errorf("daemon on %s: stopped", d.addr)
+	}
 	cmd := exec.Command(d.path, "-addr", d.addr, "-state-dir", d.stateDir,
 		"-checkpoint-events", strconv.Itoa(d.ckptEvents))
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
+		d.mu.Unlock()
 		return fmt.Errorf("spawn %s: %w", d.path, err)
 	}
 	d.cmd = cmd
-	deadline := time.Now().Add(30 * time.Second)
+	d.mu.Unlock()
+	deadline := time.Now().Add(daemonHealthWait)
 	for {
 		var hb struct {
 			Status string `json:"status"`
@@ -246,26 +291,34 @@ func (d *daemonCtl) start() error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon on %s not healthy after 30s", d.addr)
+			d.kill()
+			return fmt.Errorf("daemon on %s not healthy after %v", d.addr, daemonHealthWait)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
 // kill is the crash: SIGKILL, no goodbye.
-func (d *daemonCtl) kill() {
-	if d.cmd != nil && d.cmd.Process != nil {
-		d.cmd.Process.Kill()
-		d.cmd.Wait()
-	}
+func (d *daemonCtl) kill() { d.end(os.Kill) }
+
+// stop is the graceful exit used at teardown; no start follows it.
+func (d *daemonCtl) stop() {
+	d.mu.Lock()
+	d.stopped = true
+	d.mu.Unlock()
+	d.end(syscall.SIGTERM)
 }
 
-// stop is the graceful exit used at teardown.
-func (d *daemonCtl) stop() {
-	if d.cmd != nil && d.cmd.Process != nil {
-		d.cmd.Process.Signal(syscall.SIGTERM)
-		d.cmd.Wait()
+// end signals the running daemon, if any, and reaps it.
+func (d *daemonCtl) end(sig os.Signal) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cmd == nil {
+		return
 	}
+	d.cmd.Process.Signal(sig)
+	d.cmd.Wait()
+	d.cmd = nil
 }
 
 // chaosStats drives and tallies the restart schedule.

@@ -18,8 +18,9 @@
 // configure it, Step/RunFor/Run/Wait drive it (context-aware), Snapshot
 // reports at any moment, Events streams typed monitoring events, and
 // detection runs multiple detect→repair epochs by remapping
-// post-rewrite PCs back to the original program. laser.Run and friends
-// remain as one-shot convenience wrappers over a pinned session.
+// post-rewrite PCs back to the original program. Attach (or
+// RestoreSession, from a snapshot) is the only way to build a session;
+// the paper's one-shot pass is a session pinned with options.
 //
 // Start with package laser, DESIGN.md (system inventory and the Session
 // architecture) and EXPERIMENTS.md (paper-versus-measured results). The

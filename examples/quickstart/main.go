@@ -26,9 +26,9 @@ func main() {
 	fmt.Printf("native run: %.2f ms simulated, %d HITM coherence events\n",
 		native.Seconds()*1e3, native.HITMs())
 
-	// Then: the same program under a LASER session. The heap bias is the
-	// attach-time perturbation laser.Run applies; events stream while the
-	// monitor works.
+	// Then: the same program under a LASER session, built with the heap
+	// bias of the fork-based attach (laser.AttachBias); events stream
+	// while the monitor works.
 	img := w.Build(workload.Options{HeapBias: laser.AttachBias})
 	s, err := laser.Attach(img)
 	if err != nil {

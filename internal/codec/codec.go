@@ -1,14 +1,14 @@
-package laser
-
-// The snapshot codec behind SessionState.Encode and DecodeSessionState:
-// a compact binary encoding driven by reflection over exported struct
-// fields, in declaration order — the fields gob would see — so the
-// component snapshot types need no code of their own and no
+// Package codec is the repository's one serializer: the compact binary
+// encoding behind laser's session snapshots (SessionState.Encode and
+// DecodeSessionState) and the run cache's persisted results. It is
+// driven by reflection over exported struct fields, in declaration
+// order, so the encoded types need no code of their own and no
 // registration. Each type is compiled once into a pair of closures and
 // cached.
 //
 // The wire form carries no type information; both sides must be the
-// same build (checkpoints pin it with their code version):
+// same build (checkpoints and run-cache entries pin it with their code
+// version):
 //
 //	bool            one byte, 0 or 1
 //	int kinds       zig-zag varint
@@ -30,6 +30,7 @@ package laser
 // error, never a panic. Kinds with no faithful encoding — interfaces,
 // channels, functions, float32, complex, uintptr, unsafe pointers — are
 // compile errors, never silently dropped.
+package codec
 
 import (
 	"cmp"
@@ -72,8 +73,8 @@ func codecFor(t reflect.Type) (*typeCodec, error) {
 	return compileType(t)
 }
 
-// encodeValue appends the encoding of *ptr to b.
-func encodeValue[T any](b []byte, ptr *T) ([]byte, error) {
+// Append appends the encoding of *ptr to b.
+func Append[T any](b []byte, ptr *T) ([]byte, error) {
 	c, err := codecFor(reflect.TypeFor[T]())
 	if err != nil {
 		return nil, err
@@ -81,9 +82,9 @@ func encodeValue[T any](b []byte, ptr *T) ([]byte, error) {
 	return c.enc(b, reflect.ValueOf(ptr).Elem()), nil
 }
 
-// decodeValue overwrites *ptr with the value data encodes, which must
-// be exactly one value.
-func decodeValue[T any](data []byte, ptr *T) error {
+// Decode overwrites *ptr with the value data encodes, which must be
+// exactly one value.
+func Decode[T any](data []byte, ptr *T) error {
 	c, err := codecFor(reflect.TypeFor[T]())
 	if err != nil {
 		return err
@@ -99,7 +100,7 @@ func decodeValue[T any](data []byte, ptr *T) error {
 }
 
 // compileType fetches or builds t's codec; the caller holds codecMu.
-// The snapshot types are not recursive, so neither is this.
+// The encoded types are not recursive, so neither is this.
 func compileType(t reflect.Type) (*typeCodec, error) {
 	if c := codecs[t]; c != nil {
 		return c, nil

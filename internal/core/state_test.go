@@ -1,28 +1,27 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/driver"
 	"repro/internal/mem"
 )
 
 // A PipeState must rebuild the pipeline's reports exactly — including
-// after a gob round trip, which is how the experiment run cache persists
-// detector results.
+// after a codec round trip, which is how the experiment run cache
+// persists detector results.
 func TestPipeStateReportEquivalence(t *testing.T) {
 	pipe, secs := runDetect(t, fsProgram(), fsSpecs(), 19)
 	st := pipe.State()
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	b, err := codec.Append(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded PipeState
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+	if err := codec.Decode(b, &decoded); err != nil {
 		t.Fatal(err)
 	}
 

@@ -273,9 +273,9 @@ func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int
 // runLaser executes one workload under the full LASER stack, via the
 // Session API. The harness reproduces the paper's runs exactly: a single
 // detect→repair epoch with monitoring frozen after a rewrite — the
-// legacy laser.Run semantics — so every rendered table and figure is
-// byte-identical to the one-shot path. Results are served from the run
-// cache when available.
+// paper's one-shot semantics, pinned with options — so every rendered
+// table and figure is byte-identical to the one-shot system. Results
+// are served from the run cache when available.
 func runLaser(name string, scale float64, repairOn, spec bool, sav int, seed int64) (*laserRun, error) {
 	key, cfg := laserKey(name, scale, repairOn, spec, sav, seed)
 	return runLaserKeyed(key, cfg, name, scale)

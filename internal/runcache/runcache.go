@@ -20,7 +20,6 @@ package runcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -29,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/faultinject"
 )
 
@@ -233,7 +233,7 @@ func Do[T any](s *Store, key Key, compute func() (T, error)) (T, error) {
 	var panicked any
 	e.once.Do(func() {
 		computed = true
-		if s.loadDisk(id, key, &zero) {
+		if loadDisk(s, id, key, &zero) {
 			e.val = zero
 			setServed(DiskHit)
 			return
@@ -255,7 +255,7 @@ func Do[T any](s *Store, key Key, compute func() (T, error)) (T, error) {
 		e.val, e.err = val, err
 		setServed(Computed)
 		if err == nil {
-			s.saveDisk(id, key, val)
+			saveDisk(s, id, key, &val)
 		}
 	})
 	if !computed {
@@ -297,30 +297,35 @@ func (s *Store) Lookup(key Key) (outcome Outcome, ok bool) {
 	return e.outcome, true
 }
 
-// Entry file layout (version 3; entries of older versions fail the
-// magic check, count as corrupt and are recomputed):
+// Entry file layout (version 4; entries of older versions — v3 and
+// before carried a gob payload — fail the magic check, count as corrupt
+// and are recomputed):
 //
-//	laser-runcache v3\n
+//	laser-runcache v4\n
 //	<canonical key>\n
 //	<hex sha256 of payload>\n
-//	<gob payload>
+//	<payload: the result encoded by internal/codec>
+//
+// The payload carries no type information: Do's T decodes it, and the
+// code version in the key pins the build that wrote it.
 //
 // A persisted entry's mtime doubles as its last-access time: every disk
 // hit re-touches the file, so Store.GC can age out entries that no
 // evaluation has read in a long time without a separate index.
-const fileMagic = "laser-runcache v3"
+const fileMagic = "laser-runcache v4"
 
 func (s *Store) path(id string) string {
 	return filepath.Join(s.dir, id[:2], id+".lrc")
 }
 
-// loadDisk decodes the persisted entry for id into dst (a *T). A
-// missing file is a plain miss; anything malformed — bad magic
-// (including older versions' entries), wrong key, checksum mismatch,
-// truncation, undecodable payload — counts as corrupt, removes the
-// file, and reports a miss so the entry is recomputed. A successful hit re-touches the file's mtime,
-// maintaining the last-access time GC evicts by.
-func (s *Store) loadDisk(id string, key Key, dst any) bool {
+// loadDisk decodes the persisted entry for id into dst. A missing file
+// is a plain miss; anything malformed — bad magic (including older
+// versions' entries), wrong key, checksum mismatch, truncation, a
+// payload that is not exactly one strictly encoded T — counts as
+// corrupt, removes the file, and reports a miss so the entry is
+// recomputed. A successful hit re-touches the file's mtime, maintaining
+// the last-access time GC evicts by.
+func loadDisk[T any](s *Store, id string, key Key, dst *T) bool {
 	if s.dir == "" {
 		return false
 	}
@@ -362,7 +367,7 @@ func (s *Store) loadDisk(id string, key Key, dst any) bool {
 		s.dropCorrupt(path)
 		return false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(dst); err != nil {
+	if err := codec.Decode(rest, dst); err != nil {
 		s.dropCorrupt(path)
 		return false
 	}
@@ -377,11 +382,11 @@ func (s *Store) dropCorrupt(path string) {
 	os.Remove(path)
 }
 
-// saveDisk persists val for id atomically: the entry is staged in a
+// saveDisk persists *val for id atomically: the entry is staged in a
 // temp file in the destination directory and renamed into place, so
 // readers (and concurrent writers in other processes) only ever see
 // complete entries.
-func (s *Store) saveDisk(id string, key Key, val any) {
+func saveDisk[T any](s *Store, id string, key Key, val *T) {
 	if s.dir == "" {
 		return
 	}
@@ -392,12 +397,12 @@ func (s *Store) saveDisk(id string, key Key, val any) {
 		s.writeErrs.Add(1)
 		return
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(val); err != nil {
+	payload, err := codec.Append(nil, val)
+	if err != nil {
 		s.writeErrs.Add(1)
 		return
 	}
-	sum := sha256.Sum256(payload.Bytes())
+	sum := sha256.Sum256(payload)
 	shardDir := filepath.Join(s.dir, id[:2])
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		s.writeErrs.Add(1)
@@ -416,7 +421,7 @@ func (s *Store) saveDisk(id string, key Key, val any) {
 		_, err = fmt.Fprintf(tmp, "%s\n%s\n%s\n", fileMagic, key.canonical(), hex.EncodeToString(sum[:]))
 	}
 	if err == nil {
-		_, err = tmp.Write(payload.Bytes())
+		_, err = tmp.Write(payload)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr

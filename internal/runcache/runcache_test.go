@@ -203,6 +203,12 @@ func TestCorruptEntryDetectedAndRecomputed(t *testing.T) {
 		"truncated": func(data []byte) []byte { return data[:len(data)/2] },
 		"bad-magic": func(data []byte) []byte { return append([]byte("x"), data...) },
 		"empty":     func([]byte) []byte { return nil },
+		"v3-entry": func(data []byte) []byte {
+			// An entry of the previous layout (its payload was gob) under
+			// an intact key line and checksum: the magic alone refuses it.
+			_, rest, _ := splitLine(data)
+			return append([]byte("laser-runcache v3\n"), rest...)
+		},
 		"wrong-key": func(data []byte) []byte {
 			// Valid layout, but the header names a different key: the
 			// content address collided with someone else's entry.

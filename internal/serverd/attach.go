@@ -121,7 +121,7 @@ type AttachRequest struct {
 	// benchmark as shipped, "fixed" for the paper's manual fix.
 	Variant string `json:"variant,omitempty"`
 	// HeapBias applies the attach-time heap perturbation (laser.AttachBias),
-	// as the one-shot Run wrapper does. Defaults to true; ignored for
+	// as the evaluation harness does. Defaults to true; ignored for
 	// custom images, which lay their data out explicitly.
 	HeapBias *bool `json:"heap_bias,omitempty"`
 	// Options is the functional-option surface.

@@ -20,15 +20,14 @@
 // epochs: after a rewrite, post-repair HITM records are remapped to
 // original-program PCs so detection re-arms instead of freezing.
 //
-// Run, RunImage and RunByName are convenience wrappers retained from the
-// one-shot API: each attaches a session pinned to the paper's single
-// detect→repair pass (one epoch, monitoring frozen at repair) and waits
-// for it, so their results — including every rendered evaluation table —
-// are identical to the historical behaviour.
+// Attach (and RestoreSession, for a snapshot) is the one way to build a
+// session. The paper's one-shot system — a single detect→repair pass
+// with monitoring frozen at repair — is a session pinned with
+// WithMaxEpochs(1) and WithPostRepairMonitoring(false); the evaluation
+// harness runs every table that way.
 package laser
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -40,10 +39,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Config assembles the component configurations. New code should prefer
-// Attach with options, which validates instead of silently coercing;
-// Config remains the bulk form (see WithConfig) and the shape the legacy
-// wrappers take.
+// Config assembles the component configurations. Options set its
+// fields one at a time; WithConfig passes a whole one in bulk.
 type Config struct {
 	Cores        int
 	PEBS         pebs.Config
@@ -62,8 +59,7 @@ type Config struct {
 	// engine; 0 or 1 selects it.
 	IntraRunParallelism int
 	// MaxEpochs bounds how many detect→repair epochs a session may run.
-	// 0 means "entry point's default": 1 (the paper's one-shot pass) for
-	// the Run wrappers, DefaultMaxEpochs for Attach.
+	// 0 means DefaultMaxEpochs; 1 is the paper's one-shot pass.
 	MaxEpochs int
 	// SpeculativeRepair races competing repair candidates when the §4.4
 	// trigger first fires: the session forks itself from the trigger
@@ -92,23 +88,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate normalizes and checks a configuration. Zero values the
-// one-shot API historically coerced keep their defaults — Cores 0→4,
-// PollInterval 0→2M cycles, PEBS.BufferCap 0→64, MaxEpochs 0→1 —
-// while genuinely invalid values (negative counts, non-positive
-// sample-after values, negative thresholds) are rejected with
-// descriptive errors instead of being run with.
-func (c *Config) Validate() error {
+// Validate reports the first invalid value in the configuration. It
+// never changes one: zero values are resolved by Attach before it runs
+// (MaxEpochs 0 becomes DefaultMaxEpochs, PollInterval 0 the default
+// cadence), so a zero Cores, PollInterval or PEBS.BufferCap reaching it
+// is an error.
+func (c Config) Validate() error {
 	switch {
-	case c.Cores < 0:
+	case c.Cores < 1:
 		return fmt.Errorf("laser: Cores must be positive, got %d", c.Cores)
 	case c.IntraRunParallelism < 0:
 		return fmt.Errorf("laser: IntraRunParallelism must be non-negative, got %d", c.IntraRunParallelism)
 	case c.MaxEpochs < 0:
-		return fmt.Errorf("laser: MaxEpochs must be positive, got %d", c.MaxEpochs)
+		return fmt.Errorf("laser: MaxEpochs must be non-negative, got %d", c.MaxEpochs)
+	case c.PollInterval == 0:
+		return fmt.Errorf("laser: PollInterval must be positive")
 	case c.PEBS.SAV <= 0:
 		return fmt.Errorf("laser: PEBS.SAV (sample-after value) must be positive, got %d", c.PEBS.SAV)
-	case c.PEBS.BufferCap < 0:
+	case c.PEBS.BufferCap < 1:
 		return fmt.Errorf("laser: PEBS.BufferCap must be positive, got %d", c.PEBS.BufferCap)
 	case c.Detector.SAV <= 0:
 		return fmt.Errorf("laser: Detector.SAV must be positive, got %d", c.Detector.SAV)
@@ -117,18 +114,6 @@ func (c *Config) Validate() error {
 	case c.Detector.RepairRateThreshold < 0:
 		return fmt.Errorf("laser: Detector.RepairRateThreshold must be non-negative, got %g", c.Detector.RepairRateThreshold)
 	}
-	if c.Cores == 0 {
-		c.Cores = 4
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 2_000_000
-	}
-	if c.PEBS.BufferCap == 0 {
-		c.PEBS.BufferCap = 64
-	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 1
-	}
 	return nil
 }
 
@@ -136,8 +121,8 @@ func (c *Config) Validate() error {
 type Result struct {
 	// Stats are the machine statistics of the monitored application.
 	Stats *machine.Stats
-	// Report is the contention report at exit. Under the one-shot
-	// wrappers these are the pre-repair aggregates; a multi-epoch
+	// Report is the contention report at exit. With post-repair
+	// monitoring off these are the pre-repair aggregates; otherwise the
 	// session keeps the report live across repairs, attributed to
 	// original-program PCs.
 	Report *core.Report
@@ -187,44 +172,4 @@ func RunNativeParallel(img *workload.Image, cores, workers int) (*machine.Stats,
 	}, img.Specs)
 	img.Init(m)
 	return m.Run()
-}
-
-// Run builds the workload (with the attach-time heap bias), starts the
-// full LASER stack around it, and executes to completion with periodic
-// detector polling and, when triggered and profitable, online repair.
-// It is a convenience wrapper over a one-epoch Session.
-func Run(w *workload.Workload, opts workload.Options, cfg Config) (*Result, error) {
-	opts.HeapBias = AttachBias
-	img := w.Build(opts)
-	return RunImage(img, cfg)
-}
-
-// RunImage runs LASER around an already-built image: it attaches a
-// session pinned to the paper's one-shot semantics — a single
-// detect→repair epoch, with monitoring results frozen once a repair is
-// installed (the paper's detector likewise reports the pre-repair
-// contention) — and waits for it.
-func RunImage(img *workload.Image, cfg Config) (*Result, error) {
-	st := settings{cfg: cfg}
-	if err := st.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newSession(img, st)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Wait()
-}
-
-// ErrNoWorkload is returned by RunByName for unknown workloads.
-var ErrNoWorkload = errors.New("laser: unknown workload")
-
-// RunByName is a convenience wrapper for the command-line tools.
-func RunByName(name string, opts workload.Options, cfg Config) (*Result, error) {
-	w, ok := workload.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoWorkload, name)
-	}
-	return Run(w, opts, cfg)
 }

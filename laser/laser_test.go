@@ -13,12 +13,32 @@ import (
 // detector to act.
 const scale = 0.6
 
-func TestRunDetectsAndRepairsLinearRegression(t *testing.T) {
-	w, _ := workload.Get("linear_regression")
-	res, err := Run(w, workload.Options{Scale: scale}, DefaultConfig())
+// runOneShot attaches a session pinned to the paper's one-shot
+// semantics — one detect→repair epoch, monitoring frozen at repair —
+// around the named workload, built with the attach-time heap bias, and
+// waits for it.
+func runOneShot(t *testing.T, name string, opts workload.Options, cfg Config) *Result {
+	t.Helper()
+	w, ok := workload.Get(name)
+	if !ok {
+		t.Fatalf("unknown workload %q", name)
+	}
+	opts.HeapBias = AttachBias
+	s, err := Attach(w.Build(opts), WithConfig(cfg), WithMaxEpochs(1), WithPostRepairMonitoring(false))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	res, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunDetectsAndRepairsLinearRegression(t *testing.T) {
+	w, _ := workload.Get("linear_regression")
+	res := runOneShot(t, "linear_regression", workload.Options{Scale: scale}, DefaultConfig())
 	if !res.RepairApplied {
 		t.Errorf("online repair not applied (repairErr=%v)", res.RepairErr)
 	}
@@ -45,10 +65,7 @@ func TestRunDetectsAndRepairsLinearRegression(t *testing.T) {
 
 func TestRunQuietWorkloadLowOverhead(t *testing.T) {
 	w, _ := workload.Get("blackscholes")
-	res, err := Run(w, workload.Options{Scale: scale}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOneShot(t, "blackscholes", workload.Options{Scale: scale}, DefaultConfig())
 	img := w.Build(workload.Options{Scale: scale})
 	nat, err := RunNative(img, 4)
 	if err != nil {
@@ -67,11 +84,7 @@ func TestRunQuietWorkloadLowOverhead(t *testing.T) {
 }
 
 func TestRunTrueSharingNoRepair(t *testing.T) {
-	w, _ := workload.Get("kmeans")
-	res, err := Run(w, workload.Options{Scale: 0.3}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOneShot(t, "kmeans", workload.Options{Scale: 0.3}, DefaultConfig())
 	if res.RepairApplied {
 		t.Error("LASERREPAIR must not attempt to repair true sharing")
 	}
@@ -81,11 +94,7 @@ func TestRunTrueSharingNoRepair(t *testing.T) {
 }
 
 func TestRunLuNcbRepairRefused(t *testing.T) {
-	w, _ := workload.Get("lu_ncb")
-	res, err := Run(w, workload.Options{Scale: 2}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOneShot(t, "lu_ncb", workload.Options{Scale: 2}, DefaultConfig())
 	if res.RepairApplied {
 		t.Error("lu_ncb repair should be refused (§7.4.2)")
 	}
@@ -98,23 +107,10 @@ func TestRunLuNcbRepairRefused(t *testing.T) {
 	}
 }
 
-func TestRunByName(t *testing.T) {
-	if _, err := RunByName("nonesuch", workload.Options{}, DefaultConfig()); !errors.Is(err, ErrNoWorkload) {
-		t.Errorf("err = %v, want ErrNoWorkload", err)
-	}
-	res, err := RunByName("string_match", workload.Options{Scale: 0.1}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestResultRenderable(t *testing.T) {
+	res := runOneShot(t, "histogram'", workload.Options{Scale: scale}, DefaultConfig())
 	if res.Stats.Instructions == 0 {
 		t.Error("no instructions executed")
-	}
-}
-
-func TestResultRenderable(t *testing.T) {
-	res, err := RunByName("histogram'", workload.Options{Scale: scale}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
 	}
 	text := res.Report.Render()
 	if !strings.Contains(text, "contention report") {
@@ -128,10 +124,7 @@ func TestResultRenderable(t *testing.T) {
 func TestRepairDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableRepair = false
-	res, err := RunByName("histogram'", workload.Options{Scale: scale}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOneShot(t, "histogram'", workload.Options{Scale: scale}, cfg)
 	if res.RepairApplied {
 		t.Error("repair ran while disabled")
 	}

@@ -3,13 +3,13 @@ package laser
 import "fmt"
 
 // settings is everything Attach needs: the component configuration plus
-// session-only knobs that have no legacy Config field.
+// session-only knobs that have no Config field.
 type settings struct {
 	cfg Config
 	// monitorAfterRepair keeps feeding the detector after a repair in
-	// the final epoch (remapped to original PCs). The legacy one-shot
-	// wrappers run with it off — they freeze monitoring at the first
-	// repair, as the paper's exit report does.
+	// the final epoch (remapped to original PCs). Off, a session freezes
+	// monitoring at the first repair, as the paper's one-shot exit report
+	// does; the evaluation harness runs that way.
 	monitorAfterRepair bool
 	observers          []func(Event)
 	// pollSource records where the cadence came from, which decides what
@@ -37,14 +37,17 @@ const (
 
 // Option customizes a Session at Attach time. Options validate their
 // arguments: Attach reports the first invalid one instead of silently
-// coercing it, unlike the legacy Config path.
+// coercing it.
 type Option func(*settings) error
 
 // WithConfig replaces the whole component configuration, for callers
-// migrating from the legacy Config struct. Later options apply on top.
-// A non-zero PollInterval is used as given (and as the base cadence
-// for WithAutoPollInterval); a zero one takes the default cadence and
-// remains eligible for Attach's bounded-run derivation.
+// that assemble a Config in bulk (the evaluation harness derives its
+// run-cache key from one). Later options apply on top. A non-zero
+// PollInterval is used as given (and as the base cadence for
+// WithAutoPollInterval); a zero one takes the default cadence and
+// remains eligible for Attach's bounded-run derivation. Every other
+// field is used as given and validated: a zero Cores or PEBS.BufferCap
+// is an error, not a default.
 func WithConfig(cfg Config) Option {
 	return func(s *settings) error {
 		s.cfg = cfg
@@ -180,8 +183,9 @@ func WithMaxEpochs(n int) Option {
 // WithPostRepairMonitoring controls whether the detector keeps consuming
 // records once the last permitted repair is installed. Sessions default
 // to true: post-repair records are remapped to original PCs and keep the
-// report live. The legacy Run/RunImage wrappers run with false,
-// reproducing the one-shot system's frozen-at-repair exit report.
+// report live. With false, together with WithMaxEpochs(1), a session
+// reproduces the paper's one-shot system and its frozen-at-repair exit
+// report.
 func WithPostRepairMonitoring(enabled bool) Option {
 	return func(s *settings) error {
 		s.monitorAfterRepair = enabled

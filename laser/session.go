@@ -58,12 +58,12 @@ type EpochReport struct {
 // Snapshot produces a mid-run report at any moment; Events and
 // WithObserver stream typed events as monitoring unfolds.
 //
-// Unlike the one-shot Run, a session is multi-epoch: when LASERREPAIR
-// rewrites the program, the rewrite's PC translation table is threaded
-// into the detector, which re-arms and keeps attributing post-repair
-// HITM records to the original binary. A later contention flare-up can
-// trigger repair again (up to the epoch budget); each epoch's windowed
-// report and monitoring cost land in Result.Epochs.
+// Unlike the paper's one-shot system, a session is multi-epoch: when
+// LASERREPAIR rewrites the program, the rewrite's PC translation table
+// is threaded into the detector, which re-arms and keeps attributing
+// post-repair HITM records to the original binary. A later contention
+// flare-up can trigger repair again (up to the epoch budget); each
+// epoch's windowed report and monitoring cost land in Result.Epochs.
 //
 // A Session is not safe for fully concurrent use: drive it (Step, Run,
 // RunFor, Wait, snapshots) from one goroutine at a time. Three things
@@ -136,74 +136,77 @@ type Session struct {
 //
 // Note that Attach monitors the image exactly as built: the heap
 // perturbation the fork-based attach inflicts on a process (AttachBias)
-// is a build-time option, applied by the Run convenience wrapper.
+// is a build-time option (workload.Options.HeapBias).
 func Attach(img *workload.Image, opts ...Option) (*Session, error) {
+	st, err := resolveSettings(opts)
+	if err != nil {
+		return nil, err
+	}
+	return newSession(img, st)
+}
+
+// resolveSettings is the one way a session's configuration is built,
+// shared by Attach and RestoreSession: options apply over DefaultConfig,
+// MaxEpochs 0 takes DefaultMaxEpochs, the poll cadence is resolved, and
+// the result is validated.
+func resolveSettings(opts []Option) (settings, error) {
 	st := settings{cfg: DefaultConfig(), monitorAfterRepair: true}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
 		}
 		if err := opt(&st); err != nil {
-			return nil, fmt.Errorf("laser: %w", err)
+			return settings{}, fmt.Errorf("laser: %w", err)
 		}
 	}
 	if st.cfg.MaxEpochs == 0 {
 		st.cfg.MaxEpochs = DefaultMaxEpochs
 	}
 	if err := resolvePollInterval(&st); err != nil {
-		return nil, err
+		return settings{}, err
 	}
 	if err := st.cfg.Validate(); err != nil {
-		return nil, err
+		return settings{}, err
 	}
-	return newSession(img, st)
+	return st, nil
 }
 
 // resolvePollInterval settles the session's poll cadence after every
-// option has applied. An explicit WithPollInterval is used verbatim;
-// WithAutoPollInterval scales the configured base — DefaultConfig's or
-// WithConfig's — by the workload scale (it conflicts with
-// WithPollInterval); and when nobody chose any cadence, a bounded run
-// (MaxCycles set below the default cadence) derives one from the
+// option has applied. The base is the configured cadence — DefaultConfig's
+// or WithConfig's — or, when WithConfig carried none (zero), the default
+// cadence. An explicit WithPollInterval is used verbatim;
+// WithAutoPollInterval scales the base by the workload scale (it
+// conflicts with WithPollInterval); and when nobody chose any cadence, a
+// bounded run (MaxCycles set below the base) derives one from the
 // machine's run budget, so even a short capped session gets several
 // §4.4 trigger checks instead of none at all. A cadence carried in by
 // WithConfig is never rewritten by the bounded-run rule: that caller
 // chose it.
 func resolvePollInterval(st *settings) error {
-	if st.autoPollScale > 0 {
-		if st.pollSource == pollExplicit {
-			return errors.New("laser: WithAutoPollInterval conflicts with WithPollInterval: pick one")
-		}
-		base := st.cfg.PollInterval
-		if base == 0 {
-			base = DefaultConfig().PollInterval
-		}
-		st.cfg.PollInterval = AutoPollInterval(base, st.autoPollScale)
-		return nil
-	}
-	if st.pollSource != pollDefault || st.cfg.MaxCycles == 0 {
-		return nil
-	}
 	base := st.cfg.PollInterval
 	if base == 0 {
 		base = DefaultConfig().PollInterval
 	}
-	if st.cfg.MaxCycles < base {
+	if st.autoPollScale > 0 {
+		if st.pollSource == pollExplicit {
+			return errors.New("laser: WithAutoPollInterval conflicts with WithPollInterval: pick one")
+		}
+		st.cfg.PollInterval = AutoPollInterval(base, st.autoPollScale)
+		return nil
+	}
+	st.cfg.PollInterval = base
+	if st.pollSource == pollDefault && st.cfg.MaxCycles != 0 && st.cfg.MaxCycles < base {
 		// boundedRunPolls checks per capped run, matching the full-length
 		// budget: a 2M-cycle cadence polls a typical full-scale workload
 		// a handful of times before exit.
 		const boundedRunPolls = 4
-		iv := st.cfg.MaxCycles / boundedRunPolls
-		if iv < 1 {
-			iv = 1
-		}
-		st.cfg.PollInterval = iv
+		st.cfg.PollInterval = max(st.cfg.MaxCycles/boundedRunPolls, 1)
 	}
 	return nil
 }
 
-// newSession wires the Figure 8 processes together. st.cfg must already
-// be validated.
+// newSession wires the Figure 8 processes together. st must come from
+// resolveSettings (or be a copy of a session's resolved settings).
 func newSession(img *workload.Image, st settings) (*Session, error) {
 	cfg := st.cfg
 	vm := img.VMMap()
@@ -557,9 +560,9 @@ func (s *Session) maybeRepair() {
 	// Records still sitting in per-core PEBS buffers were sampled from
 	// the program about to be replaced; flush and feed them under the
 	// current remap table before the swap, or they would be translated
-	// with the wrong table later. The one-shot wrappers freeze
-	// monitoring at the repair instead — there the stragglers are
-	// dropped, exactly as the historical implementation did.
+	// with the wrong table later. A one-shot session freezes monitoring
+	// at the repair instead — there the stragglers are dropped, exactly
+	// as the historical implementation did.
 	if s.monitorAfterRepair {
 		s.pmu.Drain()
 		s.ingest()
@@ -659,9 +662,9 @@ func (s *Session) finish() {
 	}
 }
 
-// partialResult mirrors what the one-shot path returned alongside an
-// error: the pipeline (for offline analysis) and the repair outcome so
-// far, without final statistics.
+// partialResult is what Run returns alongside an error: the pipeline
+// (for offline analysis) and the repair outcome so far, without final
+// statistics.
 func (s *Session) partialResult() *Result {
 	s.materialize()
 	return &Result{

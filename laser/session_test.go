@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,44 +229,6 @@ func TestSessionEventsChannel(t *testing.T) {
 	}
 }
 
-// TestLegacyWrapperMatchesPinnedSession: RunImage is a session pinned to
-// one-shot semantics; an explicitly pinned Attach must reproduce it
-// exactly.
-func TestLegacyWrapperMatchesPinnedSession(t *testing.T) {
-	build := func() *workload.Image {
-		w, _ := workload.Get("linear_regression")
-		return w.Build(workload.Options{Scale: 0.6, HeapBias: laser.AttachBias})
-	}
-	legacy, err := laser.RunImage(build(), laser.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := laser.Attach(build(),
-		laser.WithConfig(laser.DefaultConfig()),
-		laser.WithMaxEpochs(1),
-		laser.WithPostRepairMonitoring(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ported, err := s.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats.Cycles != ported.Stats.Cycles {
-		t.Errorf("cycles differ: legacy %d, session %d", legacy.Stats.Cycles, ported.Stats.Cycles)
-	}
-	if legacy.RepairApplied != ported.RepairApplied {
-		t.Errorf("RepairApplied differs")
-	}
-	if legacy.DetectorCycle != ported.DetectorCycle {
-		t.Errorf("DetectorCycle differs: %d vs %d", legacy.DetectorCycle, ported.DetectorCycle)
-	}
-	if a, b := legacy.Report.Render(), ported.Report.Render(); a != b {
-		t.Errorf("reports differ:\n%s\nvs\n%s", a, b)
-	}
-}
-
 // TestOptionValidation: option constructors reject invalid values with
 // descriptive errors instead of coercing them.
 func TestOptionValidation(t *testing.T) {
@@ -291,39 +254,42 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidate: the legacy shim keeps the historical zero-value
-// coercions but rejects genuinely invalid values.
+// TestConfigValidate: Validate rejects invalid values, zeros included,
+// and never changes the configuration it checks; DefaultConfig (whose
+// MaxEpochs 0 means DefaultMaxEpochs) is valid.
 func TestConfigValidate(t *testing.T) {
-	cfg := laser.DefaultConfig()
-	cfg.Cores = 0
-	cfg.PollInterval = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("zero coercions rejected: %v", err)
+	if err := laser.DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig rejected: %v", err)
 	}
-	if cfg.Cores != 4 || cfg.PollInterval != 2_000_000 || cfg.MaxEpochs != 1 {
-		t.Errorf("normalization wrong: %+v", cfg)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*laser.Config)
+	}{
+		{"zero Cores", func(c *laser.Config) { c.Cores = 0 }},
+		{"negative Cores", func(c *laser.Config) { c.Cores = -2 }},
+		{"zero PollInterval", func(c *laser.Config) { c.PollInterval = 0 }},
+		{"zero BufferCap", func(c *laser.Config) { c.PEBS.BufferCap = 0 }},
+		{"zero SAV", func(c *laser.Config) { c.PEBS.SAV = 0 }},
+		{"negative MaxEpochs", func(c *laser.Config) { c.MaxEpochs = -1 }},
+	} {
+		bad := laser.DefaultConfig()
+		tc.mutate(&bad)
+		want := bad
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if !reflect.DeepEqual(bad, want) {
+			t.Errorf("%s: Validate changed the configuration: %+v", tc.name, bad)
+		}
 	}
 
-	bad := laser.DefaultConfig()
-	bad.Cores = -2
-	if err := bad.Validate(); err == nil {
-		t.Error("negative Cores accepted")
-	}
-	bad = laser.DefaultConfig()
-	bad.PEBS.SAV = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero SAV accepted")
-	}
-	bad = laser.DefaultConfig()
-	bad.MaxEpochs = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative MaxEpochs accepted")
-	}
-
-	// The legacy entry point goes through the shim too.
+	// Attach validates the configuration WithConfig carries.
 	w, _ := workload.Get("histogram'")
-	if _, err := laser.Run(w, workload.Options{Scale: 0.1}, bad); err == nil {
-		t.Error("RunImage accepted an invalid Config")
+	img := w.Build(workload.Options{Scale: 0.1, HeapBias: laser.AttachBias})
+	bad := laser.DefaultConfig()
+	bad.MaxEpochs = -1
+	if _, err := laser.Attach(img, laser.WithConfig(bad)); err == nil {
+		t.Error("Attach accepted an invalid Config")
 	}
 }
 

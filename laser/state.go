@@ -3,7 +3,7 @@ package laser
 // Durable session snapshots: SessionState composes the component
 // snapshots (machine, detector pipeline, repair controller, PMU,
 // driver) with the session's own monitor-loop state into one value,
-// which Encode serializes with the compact codec of codec.go.
+// which Encode serializes with the compact codec of internal/codec.
 // CaptureState is valid whenever the session is stopped at a Step
 // boundary — the machine settles every in-flight engine segment before
 // RunFor returns, so a boundary is a fully consistent cut.
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/machine"
@@ -126,22 +127,8 @@ func (s *Session) CaptureState() *SessionState {
 // the already-monitored prefix, so observers attached via opts see
 // exactly the remaining stream.
 func RestoreSession(img *workload.Image, st *SessionState, opts ...Option) (*Session, error) {
-	set := settings{cfg: DefaultConfig(), monitorAfterRepair: true}
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&set); err != nil {
-			return nil, fmt.Errorf("laser: %w", err)
-		}
-	}
-	if set.cfg.MaxEpochs == 0 {
-		set.cfg.MaxEpochs = DefaultMaxEpochs
-	}
-	if err := resolvePollInterval(&set); err != nil {
-		return nil, err
-	}
-	if err := set.cfg.Validate(); err != nil {
+	set, err := resolveSettings(opts)
+	if err != nil {
 		return nil, err
 	}
 	if fp := set.cfg.Fingerprint(); fp != st.Fingerprint {
@@ -240,12 +227,12 @@ func (s *Session) restoreFrom(st *SessionState) error {
 }
 
 // Encode serializes the snapshot with the compact binary codec of
-// codec.go. The encoding is deterministic for a given snapshot: every
+// internal/codec. The encoding is deterministic for a given snapshot: every
 // component flattens its maps into sorted slices at capture time, and
 // the codec writes any remaining map in key order. It carries no type
 // information, so it restores only on the build that wrote it.
 func (st *SessionState) Encode() ([]byte, error) {
-	b, err := encodeValue(nil, st)
+	b, err := codec.Append(nil, st)
 	if err != nil {
 		return nil, fmt.Errorf("laser: encoding session state: %w", err)
 	}
@@ -257,7 +244,7 @@ func (st *SessionState) Encode() ([]byte, error) {
 // bytes.
 func DecodeSessionState(b []byte) (*SessionState, error) {
 	st := new(SessionState)
-	if err := decodeValue(b, st); err != nil {
+	if err := codec.Decode(b, st); err != nil {
 		return nil, fmt.Errorf("laser: decoding session state: %w", err)
 	}
 	return st, nil
