@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
 )
 
 // fsLoopWithTail is fsLoop followed by a second, private-only loop before
@@ -177,5 +178,113 @@ func TestCandidateRegistry(t *testing.T) {
 	}
 	if _, err := CandidateByName("bogus"); err == nil {
 		t.Error("CandidateByName(\"bogus\") succeeded, want error")
+	}
+}
+
+// fencedLoop is a contending store inside a tight critical section:
+// every candidate that rewrites refuses it as unprofitable.
+func fencedLoop() *isa.Program {
+	b := isa.NewBuilder().At("locked.c", 1)
+	b.Func("worker")
+	b.Li(1, 0)
+	b.Label("loop")
+	b.Store(0, 0, 2, 8)
+	b.Fence()
+	b.AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, 100, "loop")
+	b.Halt()
+	return b.Build()
+}
+
+// TestPrepareTable pins what the trial race groups on: ssb and reorder
+// prepare equal plans where the region has a single exit, unequal ones
+// where the nearest and farthest flush blocks differ, and the decline
+// and a refusing candidate return their analysis errors.
+func TestPrepareTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		prog    *isa.Program
+		a, b    string
+		same    bool
+		wantErr error // from preparing a; b is then not prepared
+	}{
+		{name: "single exit", prog: fsLoop(1000), a: "ssb", b: "reorder", same: true},
+		{name: "two flush blocks", prog: fsLoopWithTail(1000), a: "ssb", b: "reorder", same: false},
+		{name: "alias exemptions differ", prog: fsLoop(1000), a: "ssb", b: "ssb-conservative", same: false},
+		{name: "decline", prog: fsLoop(1000), a: "decline", wantErr: ErrDeclined},
+		{name: "refusal", prog: fencedLoop(), a: "ssb", wantErr: ErrNotProfitable},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.New(tc.prog, machine.Config{Cores: 2}, fsSpecs())
+			ctl := NewController(DefaultConfig(), m)
+			prepare := func(name string) (*Prepared, error) {
+				cand, err := CandidateByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ctl.Prepare(cand, storePCs(tc.prog))
+			}
+			pa, err := prepare(tc.a)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) || pa != nil {
+					t.Fatalf("Prepare(%s) = %v, %v; want error %v", tc.a, pa, err, tc.wantErr)
+				}
+				if ctl.Generation() != 0 || ctl.Applied() {
+					t.Fatal("a refused Prepare touched the controller")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Prepare(%s): %v", tc.a, err)
+			}
+			pb, err := prepare(tc.b)
+			if err != nil {
+				t.Fatalf("Prepare(%s): %v", tc.b, err)
+			}
+			if got := pa.SamePlans(pb); got != tc.same {
+				t.Errorf("%s and %s prepare equal plans: %t, want %t", tc.a, tc.b, got, tc.same)
+			}
+			if ctl.Generation() != 0 || ctl.Applied() || m.Program() != tc.prog {
+				t.Fatal("Prepare touched the controller or the machine")
+			}
+		})
+	}
+}
+
+// TestApplyPreparedRewritesOnce pins the prepared install's sharing:
+// the first apply rewrites the program, and a second controller applying
+// the same value installs the very same program instead of rewriting it
+// again. The result matches what Apply installs directly.
+func TestApplyPreparedRewritesOnce(t *testing.T) {
+	prog := fsLoop(1000)
+	pcs := storePCs(prog)
+	m1 := machine.New(prog, machine.Config{Cores: 2}, fsSpecs())
+	m2 := machine.New(prog, machine.Config{Cores: 2}, fsSpecs())
+	m3 := machine.New(prog, machine.Config{Cores: 2}, fsSpecs())
+	c1, c2 := NewController(DefaultConfig(), m1), NewController(DefaultConfig(), m2)
+	p, err := c1.Prepare(DefaultCandidate(), pcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Controller{c1, c2} {
+		if err := c.ApplyPrepared(p); err != nil {
+			t.Fatalf("ApplyPrepared: %v", err)
+		}
+	}
+	if m1.Program() != m2.Program() {
+		t.Error("the second apply of one prepared value rewrote the program again")
+	}
+	if err := c1.ApplyPrepared(p); err == nil {
+		t.Error("ApplyPrepared over an installed rewrite succeeded")
+	}
+	if err := NewController(DefaultConfig(), m3).Apply(pcs); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m3.Program().Instrs, m1.Program().Instrs) {
+		t.Error("the prepared install differs from Apply's")
+	}
+	if got := c1.Candidate(); got != DefaultCandidate().Name() {
+		t.Errorf("installed candidate %q, want %q", got, DefaultCandidate().Name())
 	}
 }

@@ -1,6 +1,8 @@
 package repair
 
 import (
+	"errors"
+	"reflect"
 	"sort"
 
 	"repro/internal/isa"
@@ -20,8 +22,8 @@ type Controller struct {
 	orig *isa.Program
 
 	// cand is the repair strategy in force; every analysis (install,
-	// extend, restore) routes through it. Nil until the first apply,
-	// which defaults it to the paper's SSB rewrite.
+	// extend, restore) routes through it. Nil until the first install;
+	// Apply installs the paper's SSB rewrite.
 	cand Candidate
 
 	applied      bool
@@ -63,36 +65,86 @@ func (c *Controller) Candidate() string {
 
 // Apply analyzes the contending PCs and, if the plan is profitable,
 // hot-swaps the instrumented program into the machine. The first call
-// analyzes the PCs as one region, exactly as the one-shot system does.
-// Once a rewrite is installed, further calls extend it: PCs already
-// covered are ignored, and genuinely new contention re-analyzes the
-// affected function over the union of its old and new PCs — the
-// multi-epoch path. A call that adds nothing is a no-op (check
-// Generation to distinguish it from a fresh install).
+// analyzes the PCs as one region under the default SSB rewrite, exactly
+// as the one-shot system does. Once a rewrite is installed, further
+// calls extend it: PCs already covered are ignored, and genuinely new
+// contention re-analyzes the affected function over the union of its
+// old and new PCs — the multi-epoch path. A call that adds nothing is a
+// no-op (check Generation to distinguish it from a fresh install).
 func (c *Controller) Apply(pcs []mem.Addr) error {
-	return c.ApplyCandidate(nil, pcs)
-}
-
-// ApplyCandidate is Apply with an explicit repair strategy: the first
-// install analyzes under cand (nil means the default SSB rewrite) and
-// records it as the strategy every later extension and restore reuses.
-// Once a rewrite is installed the installed strategy is authoritative
-// and cand is ignored — trials race candidates only on first install.
-func (c *Controller) ApplyCandidate(cand Candidate, pcs []mem.Addr) error {
 	if c.applied {
 		return c.extend(pcs)
 	}
-	if cand == nil {
-		cand = DefaultCandidate()
-	}
-	plan, err := cand.Analyze(c.cfg, c.orig, pcs)
+	p, err := c.Prepare(DefaultCandidate(), pcs)
 	if err != nil {
 		return err
 	}
-	c.cand = cand
-	c.plans = map[string]*Plan{plan.Fn.Name: plan}
-	c.fnPCs = map[string][]mem.Addr{plan.Fn.Name: append([]mem.Addr(nil), pcs...)}
-	c.install()
+	return c.ApplyPrepared(p)
+}
+
+// Prepared is a candidate's first install, analyzed but not yet
+// applied: the plan it rewrites the program under, and the alias-off
+// plan OnAliasMiss would refine that rewrite to. Two prepared installs
+// with equal plans simulate identically from the same machine state,
+// which is what lets a trial race run one fork for both. The rewrite
+// itself runs on the first apply and is kept, so every later apply of
+// the same value installs the same program; programs are read-only
+// once built and each machine decodes its own ops, so controllers of
+// different machines may share it.
+type Prepared struct {
+	cand     Candidate
+	orig     *isa.Program
+	pcs      []mem.Addr
+	plan     *Plan
+	aliasOff *Plan // nil when the alias-off analysis refuses (an alias miss undoes the repair)
+
+	prog     *isa.Program
+	fwd, rev []int
+}
+
+// SamePlans reports whether p and q install the same rewrite and refine
+// it the same way on an alias miss.
+func (p *Prepared) SamePlans(q *Prepared) bool {
+	return reflect.DeepEqual(p.plan, q.plan) && reflect.DeepEqual(p.aliasOff, q.aliasOff)
+}
+
+// Prepare runs cand's first-install analysis without touching the
+// controller or the machine: it returns the plan and the alias-off
+// plan, or the analysis error when cand refuses the region (ErrDeclined
+// for the deliberate no-op).
+func (c *Controller) Prepare(cand Candidate, pcs []mem.Addr) (*Prepared, error) {
+	plan, err := cand.Analyze(c.cfg, c.orig, pcs)
+	if err != nil {
+		return nil, err
+	}
+	cfg := c.cfg
+	cfg.SpeculativeAliasing = false
+	aliasOff, err := cand.Analyze(cfg, c.orig, pcs)
+	if err != nil {
+		aliasOff = nil
+	}
+	return &Prepared{cand: cand, orig: c.orig, pcs: append([]mem.Addr(nil), pcs...),
+		plan: plan, aliasOff: aliasOff}, nil
+}
+
+// ApplyPrepared installs a prepared first install and records its
+// candidate as the strategy every later extension and restore reuses.
+// The program is rewritten on the value's first apply only, so applies
+// of one value must not run concurrently.
+func (c *Controller) ApplyPrepared(p *Prepared) error {
+	if c.applied {
+		return errors.New("repair: prepared install over an installed rewrite")
+	}
+	if p.orig != c.orig {
+		return errors.New("repair: install prepared for another program")
+	}
+	if p.prog == nil {
+		p.prog, p.fwd, p.rev = Rewrite(c.orig, p.plan)
+	}
+	c.cand = p.cand
+	c.plans = map[string]*Plan{p.plan.Fn.Name: p.plan}
+	c.fnPCs = map[string][]mem.Addr{p.plan.Fn.Name: append([]mem.Addr(nil), p.pcs...)}
+	c.swap(p.prog, p.fwd, p.rev)
 	c.applied = true
 	return nil
 }
@@ -136,10 +188,15 @@ func (c *Controller) extend(pcs []mem.Addr) error {
 }
 
 // install rewrites the original program under the merged plan and
-// hot-swaps it in, remapping thread state from the currently installed
-// program through its reverse map.
+// hot-swaps it in.
 func (c *Controller) install() {
 	inst, fwd, rev := Rewrite(c.orig, MergePlans(c.orderedPlans()))
+	c.swap(inst, fwd, rev)
+}
+
+// swap hot-swaps a rewritten program and its maps in, remapping thread
+// state from the currently installed program through its reverse map.
+func (c *Controller) swap(inst *isa.Program, fwd, rev []int) {
 	if prevRev := c.revToOrig; prevRev != nil {
 		c.m.SetProgram(inst, func(i int) int { return fwd[prevRev[i]] })
 	} else {

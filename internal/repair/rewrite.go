@@ -9,19 +9,22 @@ import (
 // loads, and flushes at the planned points. It returns the rewritten
 // program plus the forward map (old index → new index; for a target with
 // inserted instructions, the first insert) and the reverse map (new index
-// → the old index it descends from).
+// → the old index it descends from). plan.FlushBefore must be sorted
+// and free of repeats, as Analyze and MergePlans emit it.
 func Rewrite(prog *isa.Program, plan *Plan) (*isa.Program, []int, []int) {
-	flushBefore := map[int]bool{}
-	for _, i := range plan.FlushBefore {
-		flushBefore[i] = true
-	}
-	var out []isa.Instr
+	// Every inserted instruction is a flush or an alias check, so the
+	// output's final size is known before the first append.
+	n := len(prog.Instrs) + len(plan.FlushBefore) + len(plan.CheckBefore)
+	out := make([]isa.Instr, 0, n)
+	rev := make([]int, 0, n)
 	fwd := make([]int, len(prog.Instrs)+1)
-	var rev []int
+	// Walk the sorted flush points alongside the instructions.
+	flushes := plan.FlushBefore
 	for i := range prog.Instrs {
 		in := prog.Instrs[i] // copy
 		fwd[i] = len(out)
-		if flushBefore[i] {
+		if len(flushes) > 0 && flushes[0] == i {
+			flushes = flushes[1:]
 			fl := isa.Instr{Op: isa.OpSSBFlush, Unit: in.Unit, File: in.File, Line: in.Line}
 			out = append(out, fl)
 			rev = append(rev, i)

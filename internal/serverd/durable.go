@@ -2,7 +2,8 @@ package serverd
 
 // Durable sessions. With a StateDir configured, every hosted session
 // journals three things through internal/statestore: its attach request
-// (once, at admission), its encoded SSE frames (flushed on the
+// (once, at admission, created together with the first checkpoint so a
+// journal is never missing one), its encoded SSE frames (flushed on the
 // checkpoint cadence), and a whole-machine laser.SessionState snapshot
 // (replaced atomically on the same cadence, and always at run start,
 // pause, completion and graceful shutdown). A restarting server replays
@@ -49,8 +50,10 @@ type attachRecord struct {
 	CreatedUnix int64         `json:"created_unix"`
 }
 
-// journalAttach starts a newly admitted session's journal and writes
-// its first checkpoint. Failures are counted, not fatal.
+// journalAttach creates a newly admitted session's journal: its attach
+// record, the frames emitted so far and its first checkpoint, in one
+// atomic create. A failure is counted, not fatal; the create is retried
+// at the next checkpoint.
 func (s *Server) journalAttach(h *hosted) {
 	if s.store == nil {
 		return
@@ -60,20 +63,19 @@ func (s *Server) journalAttach(h *hosted) {
 		MaxCycles:   h.maxCycles,
 		CreatedUnix: h.createdAt.Unix(),
 	})
-	if err == nil {
-		err = s.store.CreateSession(h.id, rec)
-	}
 	if err != nil {
 		s.met.checkpointErrors.Inc()
 		return
 	}
 	h.mu.Lock()
+	h.attachRec = rec
 	h.checkpointLocked()
 	h.mu.Unlock()
 }
 
 // checkpointLocked flushes unjournaled frames and atomically replaces
-// the session's checkpoint with a fresh whole-machine snapshot. Callers
+// the session's checkpoint with a fresh whole-machine snapshot — or,
+// while the journal does not exist yet, creates it with both. Callers
 // hold h.mu with the session at a Step boundary. Any failure leaves the
 // previous checkpoint in place and is retried at the next cadence.
 func (h *hosted) checkpointLocked() {
@@ -96,7 +98,7 @@ func (h *hosted) checkpointLocked() {
 		s.met.checkpointErrors.Inc()
 		return
 	}
-	if len(frames) > 0 {
+	if len(frames) > 0 && h.attachRec == nil {
 		if err := s.store.AppendFrames(h.id, h.journaledSeq, frames, stamps); err != nil {
 			s.met.checkpointErrors.Inc()
 			return
@@ -118,7 +120,16 @@ func (h *hosted) checkpointLocked() {
 		Running:     h.state == stateRunning || (h.state == statePaused && h.resumeOnBoot),
 	}
 	start := time.Now()
-	n, err := s.store.WriteCheckpoint(meta, blob)
+	var n int
+	if h.attachRec != nil {
+		n, err = s.store.CreateSession(h.attachRec, frames, stamps, meta, blob)
+		if err == nil {
+			h.attachRec = nil
+			h.journaledSeq = total
+		}
+	} else {
+		n, err = s.store.WriteCheckpoint(meta, blob)
+	}
 	if err != nil {
 		s.met.checkpointErrors.Inc()
 		return

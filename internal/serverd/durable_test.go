@@ -299,6 +299,34 @@ func TestDurableWriteFaultsAreNonFatal(t *testing.T) {
 	}
 }
 
+// A crash between the first files of a new journal and its rename into
+// place leaves a staging directory (statestore's ".create-" prefix).
+// Nothing was acknowledged for it, so boot removes it silently: it is
+// neither recovered nor quarantined.
+func TestDurableBootDropsInterruptedCreate(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir()}
+	s1, ts1 := bootDurable(t, cfg)
+	attachT(t, ts1.URL, quickCustom(6), http.StatusCreated)
+	ts1.Close()
+	s1.Close()
+
+	stage := filepath.Join(cfg.StateDir, "sessions", ".create-s0002-0badc0de-41")
+	if err := os.MkdirAll(stage, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stage, "attach.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := bootDurable(t, cfg)
+	defer func() { ts2.Close(); s2.Close() }()
+	if hb := health(t, ts2.URL); hb.SessionsRecovered != 1 || hb.SessionsQuarantined != 0 {
+		t.Fatalf("health after an interrupted create = %+v, want 1 recovered and 0 quarantined", hb)
+	}
+	if _, err := os.Stat(stage); !os.IsNotExist(err) {
+		t.Fatalf("staging directory survived boot: %v", err)
+	}
+}
+
 // DELETE erases the journal with the session: deleted sessions must not
 // resurrect at the next boot.
 func TestDurableDeleteRemovesJournal(t *testing.T) {

@@ -197,6 +197,7 @@ type hosted struct {
 
 	// Durable-journal progress, meaningful only with a StateDir;
 	// guarded by mu like the session itself.
+	attachRec    []byte // attach.json, kept until the journal is created
 	journaledSeq uint64 // frames flushed to the journal so far
 	ckptEvents   uint64 // event total at the last checkpoint
 	ckptCycles   uint64 // simulated cycles at the last checkpoint

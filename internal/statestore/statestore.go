@@ -18,6 +18,10 @@
 // older layout (the v1 gob payload) fails the magic check and is
 // quarantined like any other unrestorable journal.
 //
+// A journal is created whole: the three files are written into a
+// staging directory inside sessions/ and renamed into place together,
+// so a crash never leaves a session directory without its checkpoint.
+//
 // Checkpoints follow the run cache's discipline — written to a temp
 // file in the same directory and renamed into place, verified against
 // their checksum on read — so a crash at any instant leaves either the
@@ -102,11 +106,26 @@ type Store struct {
 	dir string
 }
 
-// Open creates the journal layout under dir.
+// Open creates the journal layout under dir and removes what a crash
+// left of interrupted creates and removes: nothing was acknowledged for
+// a staged journal, since a session is only acknowledged after its
+// journal exists, and a journal being removed was already deleted.
 func Open(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "sessions"), filepath.Join(dir, "quarantine")} {
+	sessions := filepath.Join(dir, "sessions")
+	for _, d := range []string{dir, sessions, filepath.Join(dir, "quarantine")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("statestore: %w", err)
+		}
+	}
+	ents, err := os.ReadDir(sessions)
+	if err != nil {
+		return nil, fmt.Errorf("statestore: %w", err)
+	}
+	for _, e := range ents {
+		if transient(e.Name()) {
+			if err := os.RemoveAll(filepath.Join(sessions, e.Name())); err != nil {
+				return nil, fmt.Errorf("statestore: %w", err)
+			}
 		}
 	}
 	return &Store{dir: dir}, nil
@@ -119,17 +138,68 @@ func (s *Store) sessionDir(id string) string {
 	return filepath.Join(s.dir, "sessions", id)
 }
 
-// CreateSession starts a session's journal: its directory and the
-// attach.json record.
-func (s *Store) CreateSession(id string, attach []byte) error {
+// Directories under sessions/ whose names start with a dot are never
+// journals: CreateSession builds a journal in a ".create-" directory
+// before renaming it into place, and Remove renames a journal to
+// ".remove-" before deleting it. Sessions never lists them, and Open
+// removes what a crash left of them.
+const (
+	stagingPrefix  = ".create-"
+	removingPrefix = ".remove-"
+)
+
+// transient reports whether a sessions/ entry is a staging or removing
+// directory rather than a journal.
+func transient(name string) bool { return strings.HasPrefix(name, ".") }
+
+// CreateSession starts a session's journal whole: attach.json, the
+// frames emitted so far (seq 0 on) and the first checkpoint are written
+// into a staging directory inside sessions/, which is then renamed to
+// the session's own. A crash at any instant therefore leaves either no
+// journal or a complete one; Open removes an interrupted staging
+// directory. It returns the checkpoint's size in bytes.
+func (s *Store) CreateSession(attach []byte, frames [][]byte, stamps []int64, meta Meta, state []byte) (int, error) {
+	ckpt, err := encodeCheckpoint(meta, state)
+	if err != nil {
+		return 0, err
+	}
+	stage, err := os.MkdirTemp(filepath.Join(s.dir, "sessions"), stagingPrefix+meta.ID+"-")
+	if err != nil {
+		return 0, fmt.Errorf("statestore: %w", err)
+	}
+	if err := s.publish(stage, meta.ID, attach, frames, stamps, ckpt); err != nil {
+		os.RemoveAll(stage)
+		return 0, err
+	}
+	return len(ckpt), nil
+}
+
+// publish fills a staging directory with a new journal's files and
+// renames it to the session's directory.
+func (s *Store) publish(stage, id string, attach []byte, frames [][]byte, stamps []int64, ckpt []byte) error {
+	// MkdirTemp makes the directory private; journals are world-readable
+	// like the run cache's entries.
+	if err := os.Chmod(stage, 0o755); err != nil {
+		return fmt.Errorf("statestore: %w", err)
+	}
+	files := map[string][]byte{"attach.json": attach, "checkpoint.snap": ckpt}
+	if len(frames) > 0 {
+		files["frames.log"] = encodeFrames(0, frames, stamps)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(stage, name), data, 0o644); err != nil {
+			return fmt.Errorf("statestore: %w", err)
+		}
+	}
+	// Injected after the staged writes, so a fault exercises the cleanup
+	// of a fully staged journal.
 	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
 		return err
 	}
-	dir := s.sessionDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Rename(stage, s.sessionDir(id)); err != nil {
 		return fmt.Errorf("statestore: %w", err)
 	}
-	return atomicWrite(dir, "attach.json", attach)
+	return nil
 }
 
 // AppendFrames appends encoded SSE frames to the session's frame log;
@@ -146,12 +216,7 @@ func (s *Store) AppendFrames(id string, seq uint64, frames [][]byte, stamps []in
 	if err != nil {
 		return fmt.Errorf("statestore: %w", err)
 	}
-	var buf bytes.Buffer
-	for i, frame := range frames {
-		fmt.Fprintf(&buf, "f %d %d %d\n", seq+uint64(i), stamps[i], len(frame))
-		buf.Write(frame)
-	}
-	_, werr := f.Write(buf.Bytes())
+	_, werr := f.Write(encodeFrames(seq, frames, stamps))
 	cerr := f.Close()
 	if werr != nil {
 		return fmt.Errorf("statestore: %w", werr)
@@ -168,19 +233,39 @@ func (s *Store) WriteCheckpoint(meta Meta, state []byte) (int, error) {
 	if err := faultinject.Error(faultinject.PointStateWriteErr, meta.ID, 1); err != nil {
 		return 0, err
 	}
+	ckpt, err := encodeCheckpoint(meta, state)
+	if err != nil {
+		return 0, err
+	}
+	if err := atomicWrite(s.sessionDir(meta.ID), "checkpoint.snap", ckpt); err != nil {
+		return 0, err
+	}
+	return len(ckpt), nil
+}
+
+// encodeCheckpoint renders a checkpoint file: magic, Meta header,
+// payload checksum, payload.
+func encodeCheckpoint(meta Meta, state []byte) ([]byte, error) {
 	header, err := json.Marshal(meta)
 	if err != nil {
-		return 0, fmt.Errorf("statestore: %w", err)
+		return nil, fmt.Errorf("statestore: %w", err)
 	}
 	sum := sha256.Sum256(state)
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s\n%s\n%s\n", magic, header, hex.EncodeToString(sum[:]))
 	buf.Write(state)
-	dir := s.sessionDir(meta.ID)
-	if err := atomicWrite(dir, "checkpoint.snap", buf.Bytes()); err != nil {
-		return 0, err
+	return buf.Bytes(), nil
+}
+
+// encodeFrames renders frame-log records; frames[i] carries sequence
+// number seq+i and append stamp stamps[i].
+func encodeFrames(seq uint64, frames [][]byte, stamps []int64) []byte {
+	var buf bytes.Buffer
+	for i, frame := range frames {
+		fmt.Fprintf(&buf, "f %d %d %d\n", seq+uint64(i), stamps[i], len(frame))
+		buf.Write(frame)
 	}
-	return buf.Len(), nil
+	return buf.Bytes()
 }
 
 // Sessions lists the journaled session ids, sorted.
@@ -191,7 +276,7 @@ func (s *Store) Sessions() ([]string, error) {
 	}
 	var ids []string
 	for _, e := range ents {
-		if e.IsDir() {
+		if e.IsDir() && !transient(e.Name()) {
 			ids = append(ids, e.Name())
 		}
 	}
@@ -324,25 +409,31 @@ func (s *Store) ResetFrames(id string, frames [][]byte, stamps []int64) error {
 	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	for i, frame := range frames {
-		fmt.Fprintf(&buf, "f %d %d %d\n", uint64(i), stamps[i], len(frame))
-		buf.Write(frame)
-	}
+	log := encodeFrames(0, frames, stamps)
 	path := filepath.Join(s.sessionDir(id), "frames.log")
 	old, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		err = nil
 	}
-	if err == nil && bytes.Equal(old, buf.Bytes()) {
+	if err == nil && bytes.Equal(old, log) {
 		return nil
 	}
-	return atomicWrite(s.sessionDir(id), "frames.log", buf.Bytes())
+	return atomicWrite(s.sessionDir(id), "frames.log", log)
 }
 
-// Remove deletes a session's journal (DELETE, idle reap).
+// Remove deletes a session's journal (DELETE, idle reap). The journal
+// is renamed out of the session list first, so a crash mid-delete
+// leaves a directory Open removes, not a torn journal boot would
+// quarantine.
 func (s *Store) Remove(id string) error {
-	if err := os.RemoveAll(s.sessionDir(id)); err != nil {
+	dead := filepath.Join(s.dir, "sessions", removingPrefix+id)
+	if err := os.Rename(s.sessionDir(id), dead); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("statestore: %w", err)
+	}
+	if err := os.RemoveAll(dead); err != nil {
 		return fmt.Errorf("statestore: %w", err)
 	}
 	return nil

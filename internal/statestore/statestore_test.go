@@ -32,7 +32,7 @@ func frames(n int, prefix string) ([][]byte, []int64) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	s := testStore(t)
-	if err := s.CreateSession("s1", []byte(`{"workload":"dedup"}`)); err != nil {
+	if _, err := s.CreateSession([]byte(`{"workload":"dedup"}`), nil, nil, Meta{ID: "s1", State: "idle"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fs, ts := frames(5, "SampleBatch")
@@ -79,7 +79,7 @@ func TestJournalRoundTrip(t *testing.T) {
 // future; load trims to the checkpoint's Events.
 func TestLoadTrimsFramesPastCheckpoint(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	fs, ts := frames(6, "x")
 	s.AppendFrames("s1", 0, fs, ts)
 	if _, err := s.WriteCheckpoint(Meta{ID: "s1", Events: 4, State: "idle"}, []byte("p")); err != nil {
@@ -98,7 +98,7 @@ func TestLoadTrimsFramesPastCheckpoint(t *testing.T) {
 // inconsistency, never silently resumed.
 func TestLoadRefusesShortFrameLog(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	fs, ts := frames(2, "x")
 	s.AppendFrames("s1", 0, fs, ts)
 	s.WriteCheckpoint(Meta{ID: "s1", Events: 4, State: "idle"}, []byte("p"))
@@ -110,7 +110,7 @@ func TestLoadRefusesShortFrameLog(t *testing.T) {
 // A torn final record — SIGKILL mid-append — is truncated away.
 func TestTornFrameLogTail(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	fs, ts := frames(3, "x")
 	s.AppendFrames("s1", 0, fs, ts)
 	path := filepath.Join(s.Dir(), "sessions", "s1", "frames.log")
@@ -133,7 +133,7 @@ func TestTornFrameLogTail(t *testing.T) {
 
 func TestCheckpointChecksumRejectsFlippedByte(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	s.WriteCheckpoint(Meta{ID: "s1", State: "idle"}, []byte("payload-bytes"))
 	path := filepath.Join(s.Dir(), "sessions", "s1", "checkpoint.snap")
 	raw, _ := os.ReadFile(path)
@@ -146,7 +146,7 @@ func TestCheckpointChecksumRejectsFlippedByte(t *testing.T) {
 
 func TestCheckpointHeaderMustNameDirectory(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	s.WriteCheckpoint(Meta{ID: "s1", State: "idle"}, []byte("p"))
 	// Copy s1's journal under another id: the header no longer matches.
 	src := filepath.Join(s.Dir(), "sessions", "s1")
@@ -161,7 +161,7 @@ func TestCheckpointHeaderMustNameDirectory(t *testing.T) {
 
 func TestResetFramesTruncates(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	fs, ts := frames(6, "x")
 	s.AppendFrames("s1", 0, fs, ts)
 	if err := s.ResetFrames("s1", fs[:2], ts[:2]); err != nil {
@@ -202,7 +202,7 @@ func TestResetFramesSkipsCanonicalLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 
 	// A missing log is an empty one: resetting it to no frames writes
 	// nothing.
@@ -255,7 +255,7 @@ func FuzzFrameLog(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CreateSession("s1", []byte("{}")); err != nil {
+		if _, err := s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(s.Dir(), "sessions", "s1", "frames.log")
@@ -303,7 +303,7 @@ func FuzzFrameLog(f *testing.F) {
 
 func TestQuarantineMovesJournal(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	s.WriteCheckpoint(Meta{ID: "s1", State: "idle"}, []byte("p"))
 	if err := s.Quarantine("s1", fmt.Errorf("checksum failed")); err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestQuarantineMovesJournal(t *testing.T) {
 		t.Fatalf("REASON = %q, %v", reason, err)
 	}
 	// A second quarantine under the same id must not clobber the first.
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	if err := s.Quarantine("s1", fmt.Errorf("again")); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestQuarantineMovesJournal(t *testing.T) {
 
 func TestRemoveDeletesJournal(t *testing.T) {
 	s := testStore(t)
-	s.CreateSession("s1", []byte("{}"))
+	s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil)
 	if err := s.Remove("s1"); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestFaultInjection(t *testing.T) {
 	defer faultinject.Enable(nil)
 
 	s := testStore(t)
-	if err := s.CreateSession("s1", []byte("{}")); err == nil {
+	if _, err := s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, nil); err == nil {
 		t.Fatal("want injected write error on create")
 	}
 	if _, err := s.WriteCheckpoint(Meta{ID: "s1"}, []byte("p")); err == nil {
@@ -364,7 +364,7 @@ func TestFaultInjection(t *testing.T) {
 	}
 
 	// s2 writes fine but reads back corrupt.
-	if err := s.CreateSession("s2", []byte("{}")); err != nil {
+	if _, err := s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s2", State: "idle"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.WriteCheckpoint(Meta{ID: "s2", State: "idle"}, []byte("payload-bytes")); err != nil {
@@ -375,7 +375,7 @@ func TestFaultInjection(t *testing.T) {
 	}
 
 	// Unmatched sessions are untouched.
-	if err := s.CreateSession("s3", []byte("{}")); err != nil {
+	if _, err := s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s3", State: "idle"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.WriteCheckpoint(Meta{ID: "s3", State: "idle"}, []byte("p")); err != nil {
@@ -383,5 +383,95 @@ func TestFaultInjection(t *testing.T) {
 	}
 	if _, err := s.LoadSession("s3"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CreateSession writes the attach record, the frames so far and the
+// first checkpoint as one journal: it loads back whole.
+func TestCreateSessionIsWhole(t *testing.T) {
+	s := testStore(t)
+	fs, ts := frames(3, "SampleBatch")
+	meta := Meta{ID: "s1", CodeVersion: "v", Fingerprint: "fp", Events: 3, State: "idle"}
+	n, err := s.CreateSession([]byte(`{"workload":"dedup"}`), fs, ts, meta, []byte("payload-bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n <= len("payload-bytes") {
+		t.Fatalf("create reported a %d-byte checkpoint, want header + payload", n)
+	}
+	j, err := s.LoadSession("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Meta != meta || string(j.State) != "payload-bytes" || string(j.Attach) != `{"workload":"dedup"}` {
+		t.Fatalf("journal round-trip: %+v", j)
+	}
+	if len(j.Frames) != 3 || !bytes.Equal(j.Frames[2], fs[2]) || j.Stamps[2] != ts[2] {
+		t.Fatalf("frames round-trip: %d frames", len(j.Frames))
+	}
+	info, err := os.Stat(filepath.Join(s.Dir(), "sessions", "s1"))
+	if err != nil || info.Mode().Perm() != 0o755 {
+		t.Fatalf("session directory: %v, %v; want mode 0755", info, err)
+	}
+}
+
+// A write fault while creating a journal leaves no session directory,
+// not even the staged one.
+func TestCreateFaultLeavesNoSession(t *testing.T) {
+	plan, err := faultinject.Parse("seed=3;state.write.err:p=1,match=s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(plan)
+	defer faultinject.Enable(nil)
+
+	s := testStore(t)
+	fs, ts := frames(2, "x")
+	if _, err := s.CreateSession([]byte("{}"), fs, ts, Meta{ID: "s1", Events: 2, State: "idle"}, []byte("p")); err == nil {
+		t.Fatal("want injected write error on create")
+	}
+	ents, err := os.ReadDir(filepath.Join(s.Dir(), "sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("failed create left %d entries under sessions/: %s", len(ents), ents[0].Name())
+	}
+}
+
+// Open removes what an interrupted create or remove left behind, and
+// Sessions never lists it as a journal.
+func TestOpenRemovesStaging(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateSession([]byte("{}"), nil, nil, Meta{ID: "s1", State: "idle"}, []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	stage := filepath.Join(dir, "sessions", stagingPrefix+"s2-123")
+	dead := filepath.Join(dir, "sessions", removingPrefix+"s3")
+	for _, d := range []string{stage, dead} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(d, "attach.json"), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids, _ := s.Sessions(); len(ids) != 1 || ids[0] != "s1" {
+		t.Fatalf("Sessions() = %v, want [s1]", ids)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{stage, dead} {
+		if _, err := os.Stat(d); !os.IsNotExist(err) {
+			t.Fatalf("%s survived Open: %v", filepath.Base(d), err)
+		}
+	}
+	if _, err := s.LoadSession("s1"); err != nil {
+		t.Fatalf("Open disturbed a complete journal: %v", err)
 	}
 }

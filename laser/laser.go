@@ -63,8 +63,9 @@ type Config struct {
 	MaxEpochs int
 	// SpeculativeRepair races competing repair candidates when the §4.4
 	// trigger first fires: the session forks itself from the trigger
-	// cut, runs one bounded trial per candidate (plus a no-op
-	// baseline), and applies the measured winner — or declines with
+	// cut, measures every candidate in a bounded trial (one fork per
+	// distinct plan, plus a no-op baseline), and applies the measured
+	// winner — or declines with
 	// measured numbers. Off, repair installs the default SSB rewrite
 	// directly (the historical behaviour, zero added cost).
 	SpeculativeRepair bool

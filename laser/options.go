@@ -195,7 +195,8 @@ func WithPostRepairMonitoring(enabled bool) Option {
 
 // WithSpeculativeRepair enables racing repair candidates when the §4.4
 // trigger first fires: the session forks itself from the trigger cut,
-// runs one bounded trial per candidate against a no-op baseline, and
+// measures every candidate in a bounded trial (one fork per distinct
+// plan) against a no-op baseline, and
 // applies the measured winner (emitting RepairTrialStarted /
 // RepairTrialResult along the way) — or declines with measured numbers.
 // Disabled, repair installs the default SSB rewrite directly; the off

@@ -2,14 +2,20 @@ package laser
 
 // Speculative repair: when the §4.4 trigger first fires, instead of
 // installing the default SSB rewrite outright, the session forks itself
-// from the trigger cut — one fork per repair candidate, plus the
-// explicit no-op baseline — runs each fork for a bounded cycle budget,
-// and applies the candidate whose *measured* cycles won. Each fork is
-// built and run in its own goroutine, from its own decoded copy of one
-// whole-session snapshot, so no mutable structure is shared between the
-// parent and any trial (or between trials); the parent's own state is
-// untouched until the winner is installed at exactly the cut the trials
-// measured.
+// from the trigger cut, runs each fork for a bounded cycle budget, and
+// applies the candidate whose *measured* cycles won. Every candidate is
+// analyzed on the parent first: one that refuses costs no fork, and
+// candidates whose plans are equal share one fork, run under the first
+// of them in canonical order, whose result every member gets a copy of
+// under its own name. The explicit no-op baseline gets a fork of its
+// own. Each fork is built and run in its own goroutine, from its own
+// decoded copy of one whole-session snapshot, so no mutable structure
+// is shared between the parent and any trial (or between trials); the
+// rewritten program is rewritten once per plan and shared read-only.
+// The parent's own state is untouched until the winner is installed at
+// exactly the cut the trials measured. Equal results tie and ties go to
+// canonical order, so the winner always leads its group; the race
+// checks that rather than assume it.
 //
 // Adoption: a fork installs its candidate through the parent's own
 // post-install path, so from the cut on it simulates exactly what the
@@ -31,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -66,97 +73,169 @@ func (l *trialLog) record(e Event) { l.pending = append(l.pending, e) }
 // error (the caller records it as RepairErr and emits RepairDeclined).
 // When the winner's fork is adoptable, the session holds it for replay.
 func (s *Session) applyMeasured(pcs []mem.Addr) error {
-	trials, forks, err := s.runTrials(pcs)
+	race, err := s.runTrials(pcs)
 	if err != nil {
-		// The trial harness itself failed (snapshot encode or fork
-		// construction) — fall back to the direct rewrite rather than
-		// losing the repair.
+		// The trial harness itself failed (snapshot encode, fork
+		// construction, a winner that was never measured alone) — fall
+		// back to the direct rewrite rather than losing the repair.
 		return s.ctl.Apply(pcs)
 	}
-	winner := repair.SelectWinner(s.cfg.PEBS.Seed, trials)
-	s.trials = trials
-	s.trialWinner = winner
-	var adoptable *Session
-	for i, t := range trials {
+	s.trials = race.results
+	s.trialWinner = race.winner
+	for _, t := range race.results {
 		s.emit(RepairTrialResult{common: s.at(), Candidate: t.Candidate,
 			Cycles: t.Cycles, Instructions: t.Instructions, HITMs: t.HITMs,
-			Completed: t.Completed, Winner: t.Candidate == winner, Err: t.Err})
-		if t.Candidate == winner {
-			adoptable = forks[i]
-		}
+			Completed: t.Completed, Winner: t.Candidate == race.winner, Err: t.Err})
 	}
-	if winner == repair.DeclineName {
-		s.replay = adoptable
-		return fmt.Errorf("laser: repair declined by measured trials: %s", trialSummary(trials))
+	if race.winner == repair.DeclineName {
+		s.replay = race.fork
+		return fmt.Errorf("laser: repair declined by measured trials: %s", trialSummary(race.results))
 	}
-	cand, err := repair.CandidateByName(winner)
-	if err != nil {
+	// The winner's fork already rewrote the program; the parent installs
+	// the same prepared value, so it rewrites nothing.
+	if err := s.ctl.ApplyPrepared(race.install); err != nil {
 		return err
 	}
-	if err := s.ctl.ApplyCandidate(cand, pcs); err != nil {
-		return err
-	}
-	s.replay = adoptable
+	s.replay = race.fork
 	return nil
 }
 
-// runTrials forks one bounded trial per candidate from the current cut
-// and returns the measured results in canonical candidate order, with
-// each candidate's fork when it is adoptable (nil otherwise).
-func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, []*Session, error) {
-	budget := s.cfg.TrialBudget
-	if budget == 0 {
-		// Resolved here rather than in Validate so the configuration
-		// fingerprint is independent of the poll cadence it derives
-		// from. The session's PollInterval already carries the workload
-		// scale (AutoPollInterval applied at attach), so scale 1 here
-		// composes to the same budget as deriving from the base cadence.
-		budget = AutoTrialBudget(s.cfg.PollInterval, 1)
+// trialRace is the outcome of one trial race.
+type trialRace struct {
+	results []repair.TrialResult // canonical candidate order
+	winner  string
+	install *repair.Prepared // the winner's install; nil for a measured decline
+	fork    *Session         // the winner's fork when adoptable, else nil
+}
+
+// trialSlate is the race's candidate slate, analyzed on the parent at
+// the cut before any fork exists.
+type trialSlate struct {
+	cands   []repair.Candidate
+	results []repair.TrialResult // refusals already settled
+	prep    []*repair.Prepared   // nil for the decline and for refusals
+	// leader maps each candidate to the candidate whose fork measures
+	// it: itself, or the first candidate in canonical order with equal
+	// plans. A refusal has no fork and leads nothing (-1).
+	leader []int
+}
+
+// prepareSlate analyzes every candidate on the parent. A refusal costs
+// no fork: its result carries the analysis error. Candidates whose
+// prepared plans are equal would simulate byte for byte the same
+// window, so they share the fork of the group's first member.
+func (s *Session) prepareSlate(pcs []mem.Addr) *trialSlate {
+	cands := repair.Candidates()
+	sl := &trialSlate{cands: cands, results: make([]repair.TrialResult, len(cands)),
+		prep: make([]*repair.Prepared, len(cands)), leader: make([]int, len(cands))}
+	for i, cand := range cands {
+		sl.results[i].Candidate = cand.Name()
+		sl.leader[i] = i
+		if cand.Name() == repair.DeclineName {
+			continue
+		}
+		p, err := s.ctl.Prepare(cand, pcs)
+		if err != nil {
+			sl.results[i].Err = err.Error()
+			sl.leader[i] = -1
+			continue
+		}
+		sl.prep[i] = p
+		for j := range i {
+			if sl.leader[j] == j && sl.prep[j] != nil && sl.prep[j].SamePlans(p) {
+				sl.leader[i] = j
+				break
+			}
+		}
 	}
+	return sl
+}
+
+// trialBudget is the cycle budget of each trial fork.
+func (s *Session) trialBudget() uint64 {
+	if s.cfg.TrialBudget != 0 {
+		return s.cfg.TrialBudget
+	}
+	// Resolved here rather than in Validate so the configuration
+	// fingerprint is independent of the poll cadence it derives from.
+	// The session's PollInterval already carries the workload scale
+	// (AutoPollInterval applied at attach), so scale 1 here composes to
+	// the same budget as deriving from the base cadence.
+	return AutoTrialBudget(s.cfg.PollInterval, 1)
+}
+
+// runTrials races the candidate slate from the current cut: one fork per
+// group of candidates with equal plans, none for a refusal. Every member
+// of a group gets a copy of its leader's measurement under its own name,
+// so the results stay one per candidate in canonical order. The winner
+// must lead its group — equal results tie and ties go to canonical
+// order — and a race whose winner does not is an error, never an
+// install of a program that was not measured under its name.
+func (s *Session) runTrials(pcs []mem.Addr) (*trialRace, error) {
+	budget := s.trialBudget()
 	blob, err := s.CaptureState().Encode()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st := s.m.Stats()
-	baseCycles, baseInstr := st.Cycles, st.Instructions
-	baseHITM := st.HITMLoads + st.HITMStores
+	base := trialBase{cycles: st.Cycles, instr: st.Instructions, hitms: st.HITMLoads + st.HITMStores}
 
-	cands := repair.Candidates()
-	names := make([]string, len(cands))
-	for i, c := range cands {
+	sl := s.prepareSlate(pcs)
+	names := make([]string, len(sl.cands))
+	for i, c := range sl.cands {
 		names[i] = c.Name()
 	}
 	s.emit(RepairTrialStarted{common: s.at(), Candidates: names, Budget: budget})
 
-	// One goroutine per candidate decodes its own snapshot copy, builds
-	// its fork, applies the candidate and runs the trial; each fork is an
-	// independent machine and results land by candidate index.
-	results := make([]repair.TrialResult, len(cands))
-	forks := make([]*Session, len(cands))
-	errs := make([]error, len(cands))
+	// One goroutine per group leader decodes its own snapshot copy,
+	// builds its fork, installs the candidate and runs the trial; each
+	// fork is an independent machine and results land by candidate
+	// index.
+	results := sl.results
+	forks := make([]*Session, len(sl.cands))
+	errs := make([]error, len(sl.cands))
 	var wg sync.WaitGroup
-	for i, cand := range cands {
+	for i := range sl.cands {
+		if sl.leader[i] != i {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], forks[i], errs[i] = s.runCandidate(blob, cand, pcs, budget, baseCycles, baseInstr, baseHITM)
+			results[i], forks[i], errs[i] = s.runCandidate(blob, names[i], sl.prep[i], pcs, budget, base)
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return results, forks, nil
+	for i, l := range sl.leader {
+		if l >= 0 && l != i {
+			results[i] = results[l]
+			results[i].Candidate = names[i]
+		}
+	}
+	winner := repair.SelectWinner(s.cfg.PEBS.Seed, results)
+	w := slices.Index(names, winner)
+	if sl.leader[w] != w {
+		return nil, fmt.Errorf("laser: trial winner %s was not measured by its own fork", winner)
+	}
+	return &trialRace{results: results, winner: winner, install: sl.prep[w], fork: forks[w]}, nil
 }
 
-// runCandidate builds the fork for one candidate from the encoded
-// snapshot, installs the candidate, and drives the fork until the
-// workload completes or the cycle budget is exhausted, returning the
-// measured deltas from the cut and the fork if it is adoptable. A
-// candidate that refuses the region is out of the race, measured by
-// nothing; a fork that cannot be built fails the whole race.
-func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Addr, budget, baseCycles, baseInstr, baseHITM uint64) (repair.TrialResult, *Session, error) {
-	res := repair.TrialResult{Candidate: cand.Name()}
+// trialBase is the parent's statistics at the cut, which every trial's
+// deltas are measured from.
+type trialBase struct {
+	cycles, instr, hitms uint64
+}
+
+// runCandidate builds one fork from the encoded snapshot, installs the
+// prepared candidate (nil: the decline baseline), and drives the fork
+// until the workload completes or the cycle budget is exhausted,
+// returning the measured deltas from the cut and the fork if it is
+// adoptable. A fork that cannot be built fails the whole race.
+func (s *Session) runCandidate(blob []byte, name string, prep *repair.Prepared, pcs []mem.Addr, budget uint64, base trialBase) (repair.TrialResult, *Session, error) {
+	res := repair.TrialResult{Candidate: name}
 	snap, err := DecodeSessionState(blob)
 	if err != nil {
 		return res, nil, err
@@ -170,17 +249,17 @@ func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Add
 	seconds := f.m.Stats().Seconds()
 	genBefore := f.ctl.Generation()
 	applyErr := repair.ErrDeclined
-	if cand.Name() != repair.DeclineName {
-		if applyErr = f.ctl.ApplyCandidate(cand, pcs); applyErr != nil {
-			res.Err = applyErr.Error()
-			return res, nil, nil
+	if prep != nil {
+		if err := f.ctl.ApplyPrepared(prep); err != nil {
+			return res, nil, err
 		}
+		applyErr = nil
 	}
 	f.settleRepair(pcs, genBefore, seconds, applyErr)
 	f.trial.pending = nil
 	f.next += f.cfg.PollInterval
 
-	deadline := baseCycles + budget
+	deadline := base.cycles + budget
 	for {
 		done, err := f.Step()
 		if err != nil {
@@ -199,9 +278,9 @@ func (s *Session) runCandidate(blob []byte, cand repair.Candidate, pcs []mem.Add
 		}
 	}
 	st := f.m.Stats()
-	res.Cycles = st.Cycles - baseCycles
-	res.Instructions = st.Instructions - baseInstr
-	res.HITMs = st.HITMLoads + st.HITMStores - baseHITM
+	res.Cycles = st.Cycles - base.cycles
+	res.Instructions = st.Instructions - base.instr
+	res.HITMs = st.HITMLoads + st.HITMStores - base.hitms
 	if res.Err != "" || f.trial.retrigger {
 		return res, nil, nil
 	}

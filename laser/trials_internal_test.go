@@ -2,7 +2,9 @@ package laser
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -84,10 +86,11 @@ func TestTrialForksIsolateParent(t *testing.T) {
 	}
 
 	// Race the full candidate slate on the subject only.
-	trials, _, err := subject.runTrials(contendingStorePCs(subject.img.Prog))
+	race, err := subject.runTrials(contendingStorePCs(subject.img.Prog))
 	if err != nil {
 		t.Fatalf("runTrials: %v", err)
 	}
+	trials := race.results
 	if len(trials) != 4 {
 		t.Fatalf("got %d trials, want 4", len(trials))
 	}
@@ -358,5 +361,165 @@ func compareAdoption(t *testing.T, what string, want, got adoptionRun) {
 	}
 	if !bytes.Equal(got.final, want.final) {
 		t.Errorf("%s: final encoded state diverged", what)
+	}
+}
+
+// TestSharedTrialForkMatchesOwnFork checks that sharing a fork is exact:
+// at the trigger cut of a real race, every candidate measured by another
+// candidate's fork runs its own fork from the same snapshot, and its
+// own measurement must equal the copy it was given, apart from the name.
+func TestSharedTrialForkMatchesOwnFork(t *testing.T) {
+	build := func(name string, opts workload.Options) *workload.Image {
+		w, ok := workload.Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		return w.Build(opts)
+	}
+	cases := []struct {
+		name string
+		img  *workload.Image
+		opts []Option
+	}{
+		{"histogram'", build("histogram'", workload.Options{Scale: 0.15, HeapBias: AttachBias}),
+			[]Option{WithAutoPollInterval(0.15), WithSpeculativeRepair(true)}},
+		{"linear_regression", build("linear_regression", workload.Options{Scale: 0.6}),
+			[]Option{WithSpeculativeRepair(true)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var (
+				s     *Session
+				pcs   []mem.Addr
+				blob  []byte
+				slate *trialSlate
+				base  trialBase
+			)
+			// The race captures its snapshot and analyzes the slate just
+			// before it announces itself; do the same at that event.
+			watch := WithObserver(func(e Event) {
+				switch ev := e.(type) {
+				case RepairTriggered:
+					pcs = ev.Candidates
+				case RepairTrialStarted:
+					blob = encodeState(t, s)
+					slate = s.prepareSlate(pcs)
+					st := s.m.Stats()
+					base = trialBase{cycles: st.Cycles, instr: st.Instructions, hitms: st.HITMLoads + st.HITMStores}
+				}
+			})
+			var err error
+			if s, err = Attach(c.img, append(c.opts, watch)...); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			res, err := s.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slate == nil {
+				t.Fatal("the trial race never ran")
+			}
+			shared := 0
+			for i, l := range slate.leader {
+				if l < 0 || l == i {
+					continue
+				}
+				shared++
+				name := slate.cands[i].Name()
+				own, _, err := s.runCandidate(blob, name, slate.prep[i], pcs, s.trialBudget(), base)
+				if err != nil {
+					t.Fatalf("%s's own fork: %v", name, err)
+				}
+				copied := res.RepairTrials[i]
+				if copied.Candidate != name {
+					t.Fatalf("trial %d is %s, want %s", i, copied.Candidate, name)
+				}
+				if !reflect.DeepEqual(own, copied) {
+					t.Errorf("%s: own fork measured %+v, the shared fork of %s gave %+v",
+						name, own, slate.cands[l].Name(), copied)
+				}
+			}
+			if shared == 0 {
+				t.Fatal("no candidate shared a fork; the race ran one fork per candidate")
+			}
+		})
+	}
+}
+
+// tailImage is trialFSImage with a private cooldown loop behind the
+// contended one, as in the repair package's reorder test: the nearest
+// and the farthest legal flush blocks differ, so ssb and reorder
+// prepare different plans and the race must run both forks.
+func tailImage(iters, tail int64) *workload.Image {
+	b := isa.NewBuilder().At("tail.c", 100)
+	b.Func("worker")
+	b.Li(1, 0)
+	b.Label("loop").Line(102)
+	b.Load(2, 10, 0, 8)
+	b.Load(4, 0, 0, 8)
+	b.Add(4, 4, 2)
+	b.Store(0, 0, 4, 8)
+	b.Line(104).AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, iters, "loop")
+	b.Line(110).Li(1, 0)
+	b.Label("tail").Line(111)
+	b.Load(2, 10, 0, 8)
+	b.Store(10, 8, 2, 8)
+	b.AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, tail, "tail")
+	b.Line(113).Halt()
+	prog := b.Build()
+
+	line := mem.HeapBase + 0x1000
+	specs := []machine.ThreadSpec{
+		{Entry: 0, Regs: map[isa.Reg]int64{0: int64(line), 10: int64(line) + 1024}},
+		{Entry: 0, Regs: map[isa.Reg]int64{0: int64(line) + 16, 10: int64(line) + 2048}},
+	}
+	return &workload.Image{Prog: prog, Specs: specs, Threads: 2}
+}
+
+// TestDistinctPlansRunOwnTrialForks keeps the unshared path alive: where
+// ssb and reorder prepare different plans each runs its own fork, so
+// their measurements differ, and the race stays deterministic across
+// runs and across GOMAXPROCS.
+func TestDistinctPlansRunOwnTrialForks(t *testing.T) {
+	run := func(procs int) ([]repair.TrialResult, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var events []string
+		s, err := Attach(tailImage(20_000, 20_000), WithPollInterval(50_000),
+			WithSpeculativeRepair(true), WithTrialBudget(2_000_000),
+			WithObserver(func(e Event) { events = append(events, fmt.Sprintf("%T|%v", e, e)) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RepairTrials, events
+	}
+	trials, events := run(1)
+	byName := map[string]repair.TrialResult{}
+	for _, tr := range trials {
+		byName[tr.Candidate] = tr
+	}
+	ssb, reorder := byName["ssb"], byName["reorder"]
+	if ssb.Err != "" || reorder.Err != "" || ssb.Cycles == 0 {
+		t.Fatalf("ssb and reorder must both be measured: %+v", trials)
+	}
+	ssb.Candidate, reorder.Candidate = "", ""
+	if ssb == reorder {
+		t.Fatalf("ssb and reorder measured identically (%+v): their forks did not both run", ssb)
+	}
+	for _, procs := range []int{1, 4} {
+		again, againEvents := run(procs)
+		if !reflect.DeepEqual(again, trials) {
+			t.Errorf("GOMAXPROCS=%d: trial results diverged:\n%+v\n%+v", procs, again, trials)
+		}
+		if !reflect.DeepEqual(againEvents, events) {
+			t.Errorf("GOMAXPROCS=%d: event streams diverged (%d vs %d events)", procs, len(againEvents), len(events))
+		}
 	}
 }
