@@ -117,27 +117,29 @@ type FilterStats struct {
 
 // Pipeline is the LASERDETECT event-processing pipeline. It is built per
 // monitored process: the detector parses the process' /proc maps and
-// analyzes its binary to construct the load/store sets (§4.3).
+// reads the load/store sets (§4.3) straight from its binary's text.
 //
 // The pipeline is epoch-aware: alongside the cumulative aggregates that
 // back the exit report, it keeps a second, epoch-scoped set of counters
 // that the §4.4 repair trigger reads. After LASERREPAIR rewrites the
-// program, the session installs the rewrite's PC translation table with
-// SetPCRemap — incoming records are translated back to original-program
-// PCs before any filtering — and calls BeginEpoch, which resets only the
-// trigger counters. Detection thereby re-arms: a later epoch triggers
-// repair again only on fresh post-repair evidence, while the cumulative
-// report keeps attributing every record, pre- and post-repair, to the
-// original binary.
+// program, the session installs the rewritten program and its reverse
+// index with SetPCRemap — incoming records are translated back to
+// original-program PCs before any filtering — and calls BeginEpoch,
+// which resets only the trigger counters. Detection thereby re-arms: a
+// later epoch triggers repair again only on fresh post-repair evidence,
+// while the cumulative report keeps attributing every record, pre- and
+// post-repair, to the original binary.
 type Pipeline struct {
 	cfg  Config
 	vm   *mem.Map
 	prog *isa.Program
-	sets map[mem.Addr]isa.MemRef
 
-	// remap translates rewritten-program PCs back to the original PCs
-	// they descend from; nil until a repair is installed.
-	remap map[mem.Addr]mem.Addr
+	// remapProg is the installed rewritten program and remapRev its
+	// reverse index (rewritten instruction → original instruction);
+	// together they translate rewritten-program PCs back to the
+	// original PCs they descend from. Nil until a repair is installed.
+	remapProg *isa.Program
+	remapRev  []int
 
 	lines   map[isa.SourceLoc]*lineStat
 	model   map[mem.Line]*lastAccess
@@ -178,7 +180,6 @@ func NewPipeline(cfg Config, mapsText string, prog *isa.Program) (*Pipeline, err
 		cfg:     cfg,
 		vm:      vm,
 		prog:    prog,
-		sets:    prog.LoadStoreSets(),
 		lines:   make(map[isa.SourceLoc]*lineStat),
 		model:   make(map[mem.Line]*lastAccess),
 		fsByPC:  make(map[mem.Addr]uint64),
@@ -191,13 +192,18 @@ func NewPipeline(cfg Config, mapsText string, prog *isa.Program) (*Pipeline, err
 	return p, nil
 }
 
-// SetPCRemap installs (or, with nil, clears) the rewritten→original PC
-// translation table produced by LASERREPAIR. It is applied to each
-// record before any pipeline stage: the rewritten program is longer than
-// the text mapping the detector parsed at attach time, so untranslated
-// post-repair PCs would be dropped as non-code, and translated ones keep
-// the per-line aggregation keyed to the original source.
-func (p *Pipeline) SetPCRemap(t map[mem.Addr]mem.Addr) { p.remap = t }
+// SetPCRemap installs (or, with a nil program, clears) the
+// rewritten→original PC translation of LASERREPAIR: the installed
+// program cur and rev, its reverse index into the original program;
+// both are only read. The translation is applied to each
+// record before any pipeline stage: the rewritten program is longer
+// than the text mapping the detector parsed at attach time, so
+// untranslated post-repair PCs would be dropped as non-code, and
+// translated ones keep the per-line aggregation keyed to the original
+// source.
+func (p *Pipeline) SetPCRemap(cur *isa.Program, rev []int) {
+	p.remapProg, p.remapRev = cur, rev
+}
 
 // Epoch returns the index of the detection epoch in progress (0 until
 // the first repair).
@@ -237,11 +243,12 @@ func (p *Pipeline) Feed(recs []driver.Record) {
 func (p *Pipeline) feedOne(r driver.Record) {
 	// Stage 0: when a repair is installed, translate rewritten-program
 	// PCs back to the original instruction they descend from. PCs the
-	// table does not know (spurious captures drawn from the original
-	// binary, or genuinely wild addresses) pass through unchanged.
-	if p.remap != nil {
-		if orig, ok := p.remap[r.PC]; ok {
-			r.PC = orig
+	// installed program does not know (spurious captures drawn from the
+	// original binary, or genuinely wild addresses) pass through
+	// unchanged.
+	if p.remapProg != nil {
+		if i, ok := p.remapProg.IndexOf(r.PC); ok {
+			r.PC = p.prog.Instrs[p.remapRev[i]].PC
 		}
 	}
 	p.filter.Processed++
@@ -298,20 +305,22 @@ func (p *Pipeline) feedOne(r driver.Record) {
 	els.records++
 
 	// Stage 5: the cache line model (§4.3, Figure 5), using the
-	// load/store sets to decode the access type and size.
-	ref, isMem := p.sets[r.PC]
-	if !isMem {
+	// load/store sets to decode the access type and size. The sets are
+	// the program text itself: the instruction the PC resolved to says
+	// whether it loads, stores or both, and how many bytes it touches.
+	in := &p.prog.Instrs[idx]
+	if !in.IsMem() {
 		return
 	}
 	p.filter.ModelEvents++
 	line := mem.LineOf(r.Addr)
 	off := mem.Offset(r.Addr)
-	size := uint(ref.Size)
+	size := uint(in.Size)
 	if off+size > mem.LineSize {
 		size = mem.LineSize - off
 	}
 	bits := (uint64(1)<<size - 1) << off
-	write := ref.IsStore
+	write := in.IsStore()
 	la := p.model[line]
 	if la == nil {
 		la = &lastAccess{}

@@ -108,7 +108,7 @@ type ModelEntry struct {
 // and the epoch-scoped trigger counters — so a restored detector
 // processes the remaining record stream exactly as the captured one
 // would have. Like PipeState, every slice is sorted, so serialized
-// snapshots are deterministic byte-for-byte. The PC remap table is
+// snapshots are deterministic byte-for-byte. The PC remap is
 // deliberately absent: it is derived state the session reinstalls from
 // the restored repair controller.
 type FullState struct {

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -79,6 +80,13 @@ func (b *Builder) Label(name string) *Builder {
 
 // Pos returns the index the next instruction will occupy.
 func (b *Builder) Pos() int { return len(b.instrs) }
+
+// Grow reserves room for n more instructions, so a caller that knows
+// how much it will emit appends without regrowing the buffer.
+func (b *Builder) Grow(n int) *Builder {
+	b.instrs = slices.Grow(b.instrs, n)
+	return b
+}
 
 func (b *Builder) emit(in Instr) *Builder {
 	in.Unit = b.unit
@@ -229,30 +237,30 @@ func checkSize(size uint8) {
 
 // Rebuild assembles a Program directly from instruction and function
 // slices whose branch/jump/call Targets are already instruction indices.
-// PCs are (re)assigned with the standard unit layout. LASERREPAIR's
-// rewriter uses this to emit instrumented code, the way Pin regenerates
-// relocated traces.
+// PCs are (re)assigned with the standard unit layout, and the PC index
+// is filled in the same pass. LASERREPAIR's rewriter uses this to emit
+// instrumented code, the way Pin regenerates relocated traces.
 func Rebuild(instrs []Instr, funcs []Func) *Program {
-	p := &Program{
-		Instrs: instrs,
-		Funcs:  funcs,
-		byPC:   make(map[mem.Addr]int, len(instrs)),
+	nApp := 0
+	for i := range instrs {
+		if instrs[i].Unit == UnitApp {
+			nApp++
+		}
 	}
-	var appPC, libPC mem.Addr = mem.AppTextBase, mem.LibTextBase
+	// One allocation backs both units' slot tables.
+	slots := make([]int32, len(instrs))
+	p := &Program{Instrs: instrs, Funcs: funcs, appSlot: slots[:0:nApp], libSlot: slots[nApp:nApp]}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		switch in.Unit {
 		case UnitApp:
-			in.PC = appPC
-			appPC += mem.InstrBytes
+			in.PC = mem.AppTextBase + mem.Addr(len(p.appSlot))*mem.InstrBytes
+			p.appSlot = append(p.appSlot, int32(i))
 		case UnitLib:
-			in.PC = libPC
-			libPC += mem.InstrBytes
+			in.PC = mem.LibTextBase + mem.Addr(len(p.libSlot))*mem.InstrBytes
+			p.libSlot = append(p.libSlot, int32(i))
 		}
-		p.byPC[in.PC] = i
 	}
-	p.appSize = appPC - mem.AppTextBase
-	p.libSize = libPC - mem.LibTextBase
 	return p
 }
 
@@ -268,25 +276,5 @@ func (b *Builder) Build() *Program {
 		}
 		b.instrs[f.instr].Target = tgt
 	}
-	p := &Program{
-		Instrs: b.instrs,
-		Funcs:  b.funcs,
-		byPC:   make(map[mem.Addr]int, len(b.instrs)),
-	}
-	var appPC, libPC mem.Addr = mem.AppTextBase, mem.LibTextBase
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		switch in.Unit {
-		case UnitApp:
-			in.PC = appPC
-			appPC += mem.InstrBytes
-		case UnitLib:
-			in.PC = libPC
-			libPC += mem.InstrBytes
-		}
-		p.byPC[in.PC] = i
-	}
-	p.appSize = appPC - mem.AppTextBase
-	p.libSize = libPC - mem.LibTextBase
-	return p
+	return Rebuild(b.instrs, b.funcs)
 }

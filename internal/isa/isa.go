@@ -263,15 +263,6 @@ func (i *Instr) String() string {
 	return i.Op.String()
 }
 
-// MemRef describes one entry of the load/store sets LASERDETECT builds by
-// analyzing the binary (§4.3): whether the PC is a load and/or a store, and
-// how many bytes it accesses.
-type MemRef struct {
-	IsLoad  bool
-	IsStore bool
-	Size    uint8
-}
-
 // Func records the half-open instruction index range of one function.
 type Func struct {
 	Name       string
@@ -286,23 +277,33 @@ type Program struct {
 	Instrs []Instr
 	Funcs  []Func
 
-	appSize mem.Addr // bytes of app text
-	libSize mem.Addr // bytes of lib text
-	byPC    map[mem.Addr]int
+	// appSlot and libSlot are the PC index: the k-th instruction of a
+	// text unit sits at the unit's base + k*InstrBytes, and its slot
+	// holds that instruction's index in Instrs.
+	appSlot, libSlot []int32
 }
 
 // AppTextSize returns the size in bytes of the application text segment.
-func (p *Program) AppTextSize() mem.Addr { return p.appSize }
+func (p *Program) AppTextSize() mem.Addr { return mem.Addr(len(p.appSlot)) * mem.InstrBytes }
 
 // LibTextSize returns the size in bytes of the library text segment.
-func (p *Program) LibTextSize() mem.Addr { return p.libSize }
+func (p *Program) LibTextSize() mem.Addr { return mem.Addr(len(p.libSlot)) * mem.InstrBytes }
 
 // IndexOf maps a PC back to an instruction index. ok is false for PCs that
 // do not correspond to any instruction — exactly the "PC outside the
 // binary" records LASERDETECT discards.
 func (p *Program) IndexOf(pc mem.Addr) (int, bool) {
-	i, ok := p.byPC[pc]
-	return i, ok
+	slots, base := p.appSlot, mem.AppTextBase
+	if pc >= mem.LibTextBase {
+		slots, base = p.libSlot, mem.LibTextBase
+	}
+	if pc < base || (pc-base)%mem.InstrBytes != 0 {
+		return 0, false
+	}
+	if k := (pc - base) / mem.InstrBytes; k < mem.Addr(len(slots)) {
+		return int(slots[k]), true
+	}
+	return 0, false
 }
 
 // FuncAt returns the function containing instruction index idx.
@@ -313,21 +314,6 @@ func (p *Program) FuncAt(idx int) (Func, bool) {
 		}
 	}
 	return Func{}, false
-}
-
-// LoadStoreSets scans the program text and returns the load/store sets
-// keyed by PC, the runtime analysis LASERDETECT performs on the application
-// binary (§4.3).
-func (p *Program) LoadStoreSets() map[mem.Addr]MemRef {
-	sets := make(map[mem.Addr]MemRef)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if !in.IsMem() {
-			continue
-		}
-		sets[in.PC] = MemRef{IsLoad: in.IsLoad(), IsStore: in.IsStore(), Size: in.Size}
-	}
-	return sets
 }
 
 // SourceLoc is a file:line pair, the unit of aggregation in LASERDETECT's

@@ -113,19 +113,25 @@ func TestBadSizePanics(t *testing.T) {
 	NewBuilder().Load(1, 0, 0, 3)
 }
 
+// TestLoadStoreSets checks the §4.3 load/store sets, which are the
+// program text itself: the memory instructions are exactly the loop's
+// load and store, each in its own set, with its access size.
 func TestLoadStoreSets(t *testing.T) {
 	p := buildLoop()
-	sets := p.LoadStoreSets()
-	if len(sets) != 2 {
-		t.Fatalf("got %d mem refs, want 2", len(sets))
+	var mems []int
+	for i := range p.Instrs {
+		if p.Instrs[i].IsMem() {
+			mems = append(mems, i)
+		}
 	}
-	ld := sets[p.Instrs[1].PC]
-	if !ld.IsLoad || ld.IsStore || ld.Size != 8 {
-		t.Errorf("load ref = %+v", ld)
+	if len(mems) != 2 || mems[0] != 1 || mems[1] != 3 {
+		t.Fatalf("memory instructions at %v, want [1 3]", mems)
 	}
-	st := sets[p.Instrs[3].PC]
-	if st.IsLoad || !st.IsStore || st.Size != 8 {
-		t.Errorf("store ref = %+v", st)
+	if ld := &p.Instrs[1]; !ld.IsLoad() || ld.IsStore() || ld.Size != 8 {
+		t.Errorf("load: IsLoad %t IsStore %t Size %d", ld.IsLoad(), ld.IsStore(), ld.Size)
+	}
+	if st := &p.Instrs[3]; st.IsLoad() || !st.IsStore() || st.Size != 8 {
+		t.Errorf("store: IsLoad %t IsStore %t Size %d", st.IsLoad(), st.IsStore(), st.Size)
 	}
 }
 
@@ -135,11 +141,12 @@ func TestCASIsBothLoadAndStore(t *testing.T) {
 	b.CAS(1, 0, 0, 2, 3, 8)
 	b.Halt()
 	p := b.Build()
-	ref := p.LoadStoreSets()[p.Instrs[0].PC]
-	if !ref.IsLoad || !ref.IsStore {
-		t.Errorf("CAS must be in both sets: %+v", ref)
+	cas := &p.Instrs[0]
+	if !cas.IsMem() || !cas.IsLoad() || !cas.IsStore() || cas.Size != 8 {
+		t.Errorf("CAS must be in both sets: IsMem %t IsLoad %t IsStore %t Size %d",
+			cas.IsMem(), cas.IsLoad(), cas.IsStore(), cas.Size)
 	}
-	if !p.Instrs[0].IsFence() {
+	if !cas.IsFence() {
 		t.Error("CAS must have fence semantics")
 	}
 }

@@ -51,7 +51,7 @@ func (c *Controller) Conservative() bool { return c.conservative }
 
 // Generation counts program hot-swaps (installs, conservative
 // refinements, undos). A monitoring session compares generations to know
-// when to refresh its PC remap table.
+// when to refresh its PC remap.
 func (c *Controller) Generation() int { return c.gen }
 
 // Candidate returns the name of the installed repair strategy, or the
@@ -217,23 +217,19 @@ func (c *Controller) orderedPlans() []*Plan {
 	return out
 }
 
-// PCRemap returns a table translating every PC of the currently
-// installed (rewritten) program back to the PC of the original
-// instruction it descends from, or nil when the original program is
-// installed. LASERDETECT threads this table into its pipeline so that
+// PCRemap returns the currently installed (rewritten) program and its
+// reverse index, which translate every PC of that program back to the
+// PC of the original instruction it descends from; both are nil when
+// the original program is installed. Both are read-only once
+// installed. LASERDETECT threads them into its pipeline so that
 // post-repair HITM records keep attributing to the original binary —
 // the remapping that lets detection re-arm for another epoch instead of
 // freezing at the first repair.
-func (c *Controller) PCRemap() map[mem.Addr]mem.Addr {
+func (c *Controller) PCRemap() (cur *isa.Program, revToOrig []int) {
 	if !c.applied {
-		return nil
+		return nil, nil
 	}
-	cur := c.m.Program()
-	t := make(map[mem.Addr]mem.Addr, len(cur.Instrs))
-	for i := range cur.Instrs {
-		t[cur.Instrs[i].PC] = c.orig.Instrs[c.revToOrig[i]].PC
-	}
-	return t
+	return c.m.Program(), c.revToOrig
 }
 
 // OnAliasMiss is wired into machine.Config.OnAliasMiss: a misspeculation

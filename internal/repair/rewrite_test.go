@@ -52,28 +52,14 @@ func BenchmarkRewrite(b *testing.B) {
 	}
 }
 
-var pcIndexSink map[mem.Addr]int
-
 // TestRewriteAllocations pins Rewrite to its fixed set of allocations:
-// the output, the forward and reverse maps, the function table, and the
-// rebuilt program with its PC index. A buffer that regrows on append
-// adds allocations and fails the test.
+// the output, the forward and reverse maps, the function table, the
+// rebuilt program and the one array behind its two PC slot tables. A
+// buffer that regrows on append adds allocations and fails the test.
 func TestRewriteAllocations(t *testing.T) {
 	prog, plan := histogramPlan(t)
-	inst, _, _ := repair.Rewrite(prog, plan)
-	// The PC index isa.Rebuild fills, measured on its own so the pin
-	// holds whatever the runtime's map layout costs.
-	index := testing.AllocsPerRun(20, func() {
-		m := make(map[mem.Addr]int, len(inst.Instrs))
-		for i := range inst.Instrs {
-			m[inst.Instrs[i].PC] = i
-		}
-		pcIndexSink = m
-	})
-	// out, fwd, rev, funcs and the *isa.Program.
-	const fixed = 5
-	got := testing.AllocsPerRun(20, func() { repair.Rewrite(prog, plan) })
-	if want := fixed + index; got != want {
-		t.Errorf("Rewrite allocates %v times per call, want %v (%d fixed + %v for the PC index)", got, want, fixed, index)
+	const fixed = 6
+	if got := testing.AllocsPerRun(20, func() { repair.Rewrite(prog, plan) }); got != fixed {
+		t.Errorf("Rewrite allocates %v times per call, want %d", got, fixed)
 	}
 }

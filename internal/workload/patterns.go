@@ -105,6 +105,7 @@ func emitStoreOnly(b *isa.Builder, base isa.Reg, off int64, src isa.Reg) {
 func emitColdCode(b *isa.Builder, file string, lines int) {
 	b.At(file, 5000)
 	b.Func(uniqueLabel("cold"))
+	b.Grow(2*lines + 1) // two instructions per line, then the Ret
 	for i := 0; i < lines; i++ {
 		b.Line(5000 + i)
 		switch i % 4 {

@@ -116,3 +116,34 @@ func BenchmarkSnapshotInto(b *testing.B) {
 		s.SnapshotInto(rep)
 	}
 }
+
+// BenchmarkAttach measures session set-up as perfbench times it: the
+// workload image build plus Attach, for fs_repair's histogram′ (scale
+// 0.15, speculative repair) and alu's swaptions (scale 1, two intra-run
+// workers).
+func BenchmarkAttach(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+		opts  []Option
+	}{
+		{"histogram'", 0.15, []Option{WithSpeculativeRepair(true)}},
+		{"swaptions", 1, []Option{WithIntraRunParallelism(2)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w, ok := workload.Get(c.name)
+			if !ok {
+				b.Fatalf("%s not registered", c.name)
+			}
+			opts := append([]Option{WithAutoPollInterval(c.scale)}, c.opts...)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := Attach(w.Build(workload.Options{Scale: c.scale, HeapBias: AttachBias}), opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
+}

@@ -59,11 +59,12 @@ type EpochReport struct {
 // WithObserver stream typed events as monitoring unfolds.
 //
 // Unlike the paper's one-shot system, a session is multi-epoch: when
-// LASERREPAIR rewrites the program, the rewrite's PC translation table
-// is threaded into the detector, which re-arms and keeps attributing
-// post-repair HITM records to the original binary. A later contention
-// flare-up can trigger repair again (up to the epoch budget); each
-// epoch's windowed report and monitoring cost land in Result.Epochs.
+// LASERREPAIR rewrites the program, the rewrite's PC translation (the
+// installed program and its reverse index) is threaded into the
+// detector, which re-arms and keeps attributing post-repair HITM
+// records to the original binary. A later contention flare-up can
+// trigger repair again (up to the epoch budget); each epoch's windowed
+// report and monitoring cost land in Result.Epochs.
 //
 // A Session is not safe for fully concurrent use: drive it (Step, Run,
 // RunFor, Wait, snapshots) from one goroutine at a time. Three things
@@ -493,7 +494,7 @@ func (s *Session) frozen() bool {
 }
 
 // ingest drains the driver device and feeds the pipeline (unless
-// frozen), refreshing the PC remap table first so post-repair records
+// frozen), refreshing the PC remap first so post-repair records
 // attribute to the original program.
 func (s *Session) ingest() {
 	recs := s.drv.Poll()
@@ -510,7 +511,7 @@ func (s *Session) ingest() {
 	}
 }
 
-// refreshRemap re-reads the repair controller's PC translation table
+// refreshRemap re-reads the repair controller's PC translation
 // after any program hot-swap (install, conservative refinement, undo).
 func (s *Session) refreshRemap() {
 	if gen := s.ctl.Generation(); gen != s.lastGen {
@@ -559,8 +560,8 @@ func (s *Session) maybeRepair() {
 	s.emit(RepairTriggered{common: s.at(), Candidates: pcs})
 	// Records still sitting in per-core PEBS buffers were sampled from
 	// the program about to be replaced; flush and feed them under the
-	// current remap table before the swap, or they would be translated
-	// with the wrong table later. A one-shot session freezes monitoring
+	// current remap before the swap, or they would be translated with
+	// the wrong program later. A one-shot session freezes monitoring
 	// at the repair instead — there the stragglers are dropped, exactly
 	// as the historical implementation did.
 	if s.monitorAfterRepair {

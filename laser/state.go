@@ -168,7 +168,7 @@ func (s *Session) restoreFrom(st *SessionState) error {
 	if err := s.pipe.RestoreFullState(st.Pipe); err != nil {
 		return err
 	}
-	// The remap table the captured pipeline held is the one installed at
+	// The PC remap the captured pipeline held is the one installed at
 	// controller generation LastGen. At a Step boundary that is the
 	// current generation on every path that still feeds the pipeline; a
 	// frozen (one-shot) pipeline can hold a stale generation, but it
@@ -176,7 +176,7 @@ func (s *Session) restoreFrom(st *SessionState) error {
 	if st.LastGen == s.ctl.Generation() {
 		s.pipe.SetPCRemap(s.ctl.PCRemap())
 	} else {
-		s.pipe.SetPCRemap(nil)
+		s.pipe.SetPCRemap(nil, nil)
 	}
 	if err := s.pmu.RestoreState(st.PEBS); err != nil {
 		return err

@@ -8,10 +8,12 @@ package laser
 // candidates whose plans are equal share one fork, run under the first
 // of them in canonical order, whose result every member gets a copy of
 // under its own name. The explicit no-op baseline gets a fork of its
-// own. Each fork is built and run in its own goroutine, from its own
-// decoded copy of one whole-session snapshot, so no mutable structure
-// is shared between the parent and any trial (or between trials); the
-// rewritten program is rewritten once per plan and shared read-only.
+// own. The race captures the parent's state once, and each fork is
+// built and run in its own goroutine, restored from that one snapshot:
+// every component's restore copies what it keeps, so the snapshot is
+// only read, and no mutable structure is shared between the parent and
+// any trial (or between trials); the rewritten program is rewritten
+// once per plan and shared read-only.
 // The parent's own state is untouched until the winner is installed at
 // exactly the cut the trials measured. Equal results tie and ties go to
 // canonical order, so the winner always leads its group; the race
@@ -75,9 +77,9 @@ func (l *trialLog) record(e Event) { l.pending = append(l.pending, e) }
 func (s *Session) applyMeasured(pcs []mem.Addr) error {
 	race, err := s.runTrials(pcs)
 	if err != nil {
-		// The trial harness itself failed (snapshot encode, fork
-		// construction, a winner that was never measured alone) — fall
-		// back to the direct rewrite rather than losing the repair.
+		// The trial harness itself failed (fork construction, a winner
+		// that was never measured alone) — fall back to the direct
+		// rewrite rather than losing the repair.
 		return s.ctl.Apply(pcs)
 	}
 	s.trials = race.results
@@ -173,10 +175,7 @@ func (s *Session) trialBudget() uint64 {
 // install of a program that was not measured under its name.
 func (s *Session) runTrials(pcs []mem.Addr) (*trialRace, error) {
 	budget := s.trialBudget()
-	blob, err := s.CaptureState().Encode()
-	if err != nil {
-		return nil, err
-	}
+	snap := s.CaptureState()
 	st := s.m.Stats()
 	base := trialBase{cycles: st.Cycles, instr: st.Instructions, hitms: st.HITMLoads + st.HITMStores}
 
@@ -187,10 +186,9 @@ func (s *Session) runTrials(pcs []mem.Addr) (*trialRace, error) {
 	}
 	s.emit(RepairTrialStarted{common: s.at(), Candidates: names, Budget: budget})
 
-	// One goroutine per group leader decodes its own snapshot copy,
-	// builds its fork, installs the candidate and runs the trial; each
-	// fork is an independent machine and results land by candidate
-	// index.
+	// One goroutine per group leader restores its fork from the shared
+	// snapshot, installs the candidate and runs the trial; each fork is
+	// an independent machine and results land by candidate index.
 	results := sl.results
 	forks := make([]*Session, len(sl.cands))
 	errs := make([]error, len(sl.cands))
@@ -202,7 +200,7 @@ func (s *Session) runTrials(pcs []mem.Addr) (*trialRace, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], forks[i], errs[i] = s.runCandidate(blob, names[i], sl.prep[i], pcs, budget, base)
+			results[i], forks[i], errs[i] = s.runCandidate(snap, names[i], sl.prep[i], pcs, budget, base)
 		}()
 	}
 	wg.Wait()
@@ -229,17 +227,14 @@ type trialBase struct {
 	cycles, instr, hitms uint64
 }
 
-// runCandidate builds one fork from the encoded snapshot, installs the
+// runCandidate builds one fork from the snapshot, installs the
 // prepared candidate (nil: the decline baseline), and drives the fork
 // until the workload completes or the cycle budget is exhausted,
 // returning the measured deltas from the cut and the fork if it is
-// adoptable. A fork that cannot be built fails the whole race.
-func (s *Session) runCandidate(blob []byte, name string, prep *repair.Prepared, pcs []mem.Addr, budget uint64, base trialBase) (repair.TrialResult, *Session, error) {
+// adoptable. A fork that cannot be built fails the whole race. The
+// snapshot is only read, so concurrent forks may share it.
+func (s *Session) runCandidate(snap *SessionState, name string, prep *repair.Prepared, pcs []mem.Addr, budget uint64, base trialBase) (repair.TrialResult, *Session, error) {
 	res := repair.TrialResult{Candidate: name}
-	snap, err := DecodeSessionState(blob)
-	if err != nil {
-		return res, nil, err
-	}
 	f, err := s.fork(snap)
 	if err != nil {
 		return res, nil, err

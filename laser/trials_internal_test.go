@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -364,6 +365,52 @@ func compareAdoption(t *testing.T, what string, want, got adoptionRun) {
 	}
 }
 
+// raceCut is what a session's trial race started from.
+type raceCut struct {
+	s     *Session
+	res   *Result
+	pcs   []mem.Addr
+	snap  *SessionState
+	slate *trialSlate
+	base  trialBase
+}
+
+// runToRaceCut runs img to completion and returns the session, its
+// result and what its trial race started from. The race captures its
+// snapshot and analyzes the slate just before it announces itself, so
+// the same is done at that event. The caller closes the session.
+func runToRaceCut(t *testing.T, img *workload.Image, opts []Option) *raceCut {
+	t.Helper()
+	c := &raceCut{}
+	watch := WithObserver(func(e Event) {
+		if c.snap != nil {
+			return
+		}
+		switch ev := e.(type) {
+		case RepairTriggered:
+			c.pcs = ev.Candidates
+		case RepairTrialStarted:
+			c.snap = c.s.CaptureState()
+			c.slate = c.s.prepareSlate(c.pcs)
+			st := c.s.m.Stats()
+			c.base = trialBase{cycles: st.Cycles, instr: st.Instructions, hitms: st.HITMLoads + st.HITMStores}
+		}
+	})
+	var err error
+	if c.s, err = Attach(img, append(opts, watch)...); err != nil {
+		t.Fatal(err)
+	}
+	if c.res, err = c.s.Wait(); err != nil {
+		c.s.Close()
+		t.Fatal(err)
+	}
+	if c.snap == nil {
+		c.s.Close()
+		t.Fatal("the trial race never ran")
+	}
+	return c
+}
+
 // TestSharedTrialForkMatchesOwnFork checks that sharing a fork is exact:
 // at the trigger cut of a real race, every candidate measured by another
 // candidate's fork runs its own fork from the same snapshot, and its
@@ -388,37 +435,15 @@ func TestSharedTrialForkMatchesOwnFork(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var (
-				s     *Session
-				pcs   []mem.Addr
-				blob  []byte
-				slate *trialSlate
-				base  trialBase
-			)
-			// The race captures its snapshot and analyzes the slate just
-			// before it announces itself; do the same at that event.
-			watch := WithObserver(func(e Event) {
-				switch ev := e.(type) {
-				case RepairTriggered:
-					pcs = ev.Candidates
-				case RepairTrialStarted:
-					blob = encodeState(t, s)
-					slate = s.prepareSlate(pcs)
-					st := s.m.Stats()
-					base = trialBase{cycles: st.Cycles, instr: st.Instructions, hitms: st.HITMLoads + st.HITMStores}
-				}
-			})
-			var err error
-			if s, err = Attach(c.img, append(c.opts, watch)...); err != nil {
-				t.Fatal(err)
-			}
+			cut := runToRaceCut(t, c.img, c.opts)
+			s, slate := cut.s, cut.slate
 			defer s.Close()
-			res, err := s.Wait()
+			// The reference forks restore from an encoded-then-decoded
+			// copy, so the comparison also holds the race's in-memory
+			// snapshot to the codec round trip.
+			blob, err := cut.snap.Encode()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if slate == nil {
-				t.Fatal("the trial race never ran")
 			}
 			shared := 0
 			for i, l := range slate.leader {
@@ -427,11 +452,15 @@ func TestSharedTrialForkMatchesOwnFork(t *testing.T) {
 				}
 				shared++
 				name := slate.cands[i].Name()
-				own, _, err := s.runCandidate(blob, name, slate.prep[i], pcs, s.trialBudget(), base)
+				snap, err := DecodeSessionState(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own, _, err := s.runCandidate(snap, name, slate.prep[i], cut.pcs, s.trialBudget(), cut.base)
 				if err != nil {
 					t.Fatalf("%s's own fork: %v", name, err)
 				}
-				copied := res.RepairTrials[i]
+				copied := cut.res.RepairTrials[i]
 				if copied.Candidate != name {
 					t.Fatalf("trial %d is %s, want %s", i, copied.Candidate, name)
 				}
@@ -444,6 +473,52 @@ func TestSharedTrialForkMatchesOwnFork(t *testing.T) {
 				t.Fatal("no candidate shared a fork; the race ran one fork per candidate")
 			}
 		})
+	}
+}
+
+// TestTrialForksLeaveSnapshotUntouched proves the race's forks only read
+// the snapshot they share: at histogram′'s trigger cut, every group
+// leader's fork runs concurrently from one captured state, as the race
+// runs them, and the state must encode to the same bytes afterwards.
+func TestTrialForksLeaveSnapshotUntouched(t *testing.T) {
+	w, ok := workload.Get("histogram'")
+	if !ok {
+		t.Fatal("histogram' not registered")
+	}
+	cut := runToRaceCut(t, w.Build(workload.Options{Scale: 0.15, HeapBias: AttachBias}),
+		[]Option{WithAutoPollInterval(0.15), WithSpeculativeRepair(true)})
+	s, slate := cut.s, cut.slate
+	defer s.Close()
+	before, err := cut.snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	forks := 0
+	for i, l := range slate.leader {
+		if l != i {
+			continue
+		}
+		forks++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := s.runCandidate(cut.snap, slate.cands[i].Name(), slate.prep[i], cut.pcs, s.trialBudget(), cut.base)
+			if err != nil || res.Err != "" {
+				t.Errorf("%s's fork: %v %s", slate.cands[i].Name(), err, res.Err)
+			}
+		}()
+	}
+	wg.Wait()
+	if forks < 2 {
+		t.Fatalf("%d forks ran, want the decline baseline and at least one rewrite", forks)
+	}
+	after, err := cut.snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("the trial forks wrote the snapshot they restored from")
 	}
 }
 
