@@ -81,8 +81,11 @@ type slot struct {
 	state lineState
 }
 
-// minTableSize is the initial directory capacity (a power of two).
-const minTableSize = 1024
+// minTableSize is the initial directory capacity (a power of two). It is
+// small because many machines are built and few touch many shared lines:
+// growth doubles the table as lines arrive, and slot placement is
+// unobservable (see state.go), so the start size changes only speed.
+const minTableSize = 64
 
 // Access is the detailed outcome of Model.Access.
 type Access struct {
@@ -121,14 +124,18 @@ type Model struct {
 }
 
 // NewModel returns a directory for the given core count.
-func NewModel(cores int) *Model {
+func NewModel(cores int) *Model { return newModel(cores, minTableSize) }
+
+// newModel returns a directory whose table starts at size slots, a power
+// of two.
+func newModel(cores, size int) *Model {
 	if cores <= 0 || cores > MaxCores {
 		panic(fmt.Sprintf("coherence: bad core count %d", cores))
 	}
 	return &Model{
 		cores: cores,
-		slots: make([]slot, minTableSize),
-		mask:  minTableSize - 1,
+		slots: make([]slot, size),
+		mask:  uint64(size - 1),
 	}
 }
 

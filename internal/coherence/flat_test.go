@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -108,5 +109,46 @@ func TestInvalidateTombstoneProbe(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrownDirectoryMatchesPresized: the table's start size is
+// unobservable. One access trace — a hot set of contended lines, a
+// stream of fresh lines that forces repeated growth, and Invalidate
+// tombstones — run through a directory grown from minTableSize and one
+// presized to 1024 slots gives the same outcomes, snapshot, counters and
+// invariant check.
+func TestGrownDirectoryMatchesPresized(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	grown, presized := newModel(4, minTableSize), newModel(4, 1024)
+	for step := 0; step < 30000; step++ {
+		var a mem.Addr
+		if rng.Intn(4) == 0 {
+			a = mem.StackBase + mem.Addr(step)*mem.LineSize // a fresh line
+		} else {
+			a = mem.HeapBase + mem.Addr(rng.Intn(48))*mem.LineSize + mem.Addr(rng.Intn(mem.LineSize))
+		}
+		if rng.Intn(32) == 0 {
+			grown.Invalidate(a)
+			presized.Invalidate(a)
+			continue
+		}
+		core, write := rng.Intn(4), rng.Intn(2) == 0
+		if g, p := grown.Access(core, a, write), presized.Access(core, a, write); g != p {
+			t.Fatalf("step %d: grown %+v, presized %+v", step, g, p)
+		}
+	}
+	if len(grown.slots) <= minTableSize {
+		t.Fatalf("the trace never grew the table (%d slots)", len(grown.slots))
+	}
+	if !reflect.DeepEqual(grown.CaptureState(), presized.CaptureState()) {
+		t.Error("CaptureState differs")
+	}
+	if grown.Counts != presized.Counts {
+		t.Errorf("Counts %v, presized %v", grown.Counts, presized.Counts)
+	}
+	ge, pe := grown.CheckInvariants(), presized.CheckInvariants()
+	if ge != nil || pe != nil {
+		t.Errorf("CheckInvariants: grown %v, presized %v", ge, pe)
 	}
 }

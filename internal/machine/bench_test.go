@@ -84,11 +84,10 @@ func aluProg() (*isa.Program, []ThreadSpec) {
 	return prog, specs
 }
 
-// benchMachine runs prog on the serial scheduler in RunFor slices until
-// b.N instructions have retired. One op is one simulated instruction.
-func benchMachine(b *testing.B, prog *isa.Program, specs []ThreadSpec) {
+// benchMachine runs m in RunFor slices until b.N instructions have
+// retired. One op is one simulated instruction.
+func benchMachine(b *testing.B, m *Machine) {
 	b.Helper()
-	m := New(prog, Config{Cores: 4, MaxCycles: 1 << 62}, specs)
 	var target uint64
 	const slice = 1 << 16
 	b.ReportAllocs()
@@ -99,6 +98,8 @@ func benchMachine(b *testing.B, prog *isa.Program, specs []ThreadSpec) {
 			b.Fatal(err)
 		}
 	}
+	// The last slice overshoots b.N; this is the exact per-instruction cost.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.stats.Instructions), "ns/instr")
 }
 
 // BenchmarkMachineStep measures the end-to-end per-instruction cost of the
@@ -106,14 +107,23 @@ func benchMachine(b *testing.B, prog *isa.Program, specs []ThreadSpec) {
 // 4-thread workload.
 func BenchmarkMachineStep(b *testing.B) {
 	prog, specs := benchProg()
-	benchMachine(b, prog, specs)
+	benchMachine(b, New(prog, Config{Cores: 4, MaxCycles: 1 << 62}, specs))
 }
 
-// BenchmarkMachineStepALU measures the executor alone on register-only
-// code.
+// BenchmarkMachineStepALU measures the serial executor alone on
+// register-only code.
 func BenchmarkMachineStepALU(b *testing.B) {
 	prog, specs := aluProg()
-	benchMachine(b, prog, specs)
+	benchMachine(b, New(prog, Config{Cores: 4, MaxCycles: 1 << 62}, specs))
+}
+
+// BenchmarkEngineSegmentALU measures the intra-run engine's runSegment
+// on register-only code: two workers, every segment dispatched to the
+// pool, so nearly every instruction retires inside a segment.
+func BenchmarkEngineSegmentALU(b *testing.B) {
+	prog, specs := aluProg()
+	m := forceDispatch(New(prog, Config{Cores: 4, Parallelism: 2, MaxCycles: 1 << 62}, specs))
+	benchMachine(b, m)
 }
 
 // BenchmarkMemoryLoadStore measures the raw backing-store path: one op is

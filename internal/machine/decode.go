@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -15,6 +16,14 @@ import (
 // machine's cost table (the dilations already added); only their memory
 // arms differ. The globally-visible opcodes decode to opGlobal and
 // retire out of line through execGlobal, which reads the full isa.Instr.
+//
+// Next to the ops, New and SetProgram build the run table (runsOf): for
+// every index, the maximal straight-line stretch of register-only ops
+// that starts there, optionally closed by one branch or jump, with its
+// length and its static cost. Only runSegment reads it: a run whose
+// every op would start below the segment's hard bound retires with one
+// bound check, one clock add and one step add, which is exactly what
+// retiring its ops one at a time would do.
 
 type opKind uint8
 
@@ -147,6 +156,52 @@ func decode(p *isa.Program) []op {
 		}
 	}
 	return ops
+}
+
+// opRun is the straight-line register code starting at one index of the
+// decoded program (see runsOf).
+type opRun struct {
+	// cost is the clock the whole run adds. lead is the part charged
+	// before its last op starts, so the run fits below a bound hard from
+	// clock clk exactly when lead < hard-clk.
+	cost uint64
+	lead uint32
+	// n is the run's length in ops; 0 when the op at this index is not a
+	// register-only, branch or jump op.
+	n uint32
+}
+
+// runsOf builds the run table of ops under costs, back to front: an op
+// of kind opNop…opShrI heads the run of its successor when that
+// successor is itself in a run, and a branch or jump is a run of one
+// that closes every run reaching it. Loads, stores, calls, returns,
+// bad-ALU and global ops belong to no run. An op's cost is its kind's
+// (opIO adds its immediate); an opIO with a negative immediate, an op
+// whose cost wraps, and an op that would push a run's lead past 32 bits
+// end their run, so no partial sum of a run ever wraps.
+func runsOf(ops []op, costs *opCosts) []opRun {
+	runs := make([]opRun, len(ops))
+	for i := len(ops) - 1; i >= 0; i-- {
+		o := &ops[i]
+		k := o.kind
+		if k > opJump { // calls, returns, bad ALU, memory and global ops
+			continue
+		}
+		c := costs[k]
+		last := k >= opBranch
+		if k == opIO {
+			c += uint64(o.imm)
+			last = last || o.imm < 0 || c < costs[k]
+		}
+		r := opRun{cost: c, n: 1}
+		if !last && i+1 < len(ops) {
+			if nx := runs[i+1]; nx.n > 0 && c <= math.MaxUint32-uint64(nx.lead) {
+				r = opRun{cost: c + nx.cost, lead: uint32(c) + nx.lead, n: nx.n + 1}
+			}
+		}
+		runs[i] = r
+	}
+	return runs
 }
 
 // opCosts is the static cycle cost of every op kind under one machine's

@@ -182,8 +182,11 @@ type Machine struct {
 	coh  *coherence.Model
 
 	// ops is prog decoded (see decode.go), replaced together with prog
-	// on every SetProgram; costs prices each op kind under cfg.
+	// on every SetProgram; costs prices each op kind under cfg; runs is
+	// the run table of ops under costs, built only for the engine, its
+	// one reader.
 	ops   []op
+	runs  []opRun
 	costs *opCosts
 
 	threads []*thread
@@ -349,6 +352,7 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	// order the serial scheduler cannot reproduce.
 	if cfg.Parallelism > 1 && cfg.Cores > 1 && len(specs) > 1 && len(specs) <= cfg.Cores {
 		m.eng = newEngine(m, specs)
+		m.runs = runsOf(m.ops, m.costs)
 	}
 	return m
 }
@@ -397,6 +401,9 @@ func (m *Machine) SetProgram(p *isa.Program, remap func(int) int) {
 	}
 	m.prog = p
 	m.ops = decode(p)
+	if m.eng != nil {
+		m.runs = runsOf(m.ops, m.costs)
+	}
 	m.progGen++
 }
 

@@ -657,12 +657,19 @@ func (e *engine) runSegmentGuarded(c int) {
 // inline on the scheduler; either way it touches only the thread's own
 // state, the thread's private lines, and worker-local counters, so it
 // commutes with everything else in flight.
+//
+// Register-only code retires a run at a time (see runsOf): when every op
+// of the run at pc would start below hard, the whole run executes with
+// one bound check, one clock add and one step add; otherwise its first
+// op retires alone at its own cost, as one-at-a-time retirement would.
+// Either way the register and branch arms below are the only ones; the
+// outer switch handles everything that is in no run.
 func (e *engine) runSegment(c int) {
 	st := &e.state[c]
 	j := &st.job
 	t := j.t
 	m := e.m
-	ops, costs := m.ops, m.costs
+	ops, runs, costs := m.ops, m.runs, m.costs
 	ps := e.priv[t.id]
 	view := e.views[c]
 	clk, hard := j.clock, j.hard
@@ -671,53 +678,84 @@ func (e *engine) runSegment(c int) {
 	var steps, memAcc, miss, hit uint64
 loop:
 	for clk < hard {
+		if r := &runs[t.pc]; r.n > 0 {
+			n, cost := int(r.n), r.cost
+			if uint64(r.lead) >= hard-clk {
+				// The first op's own cost is what its run adds beyond
+				// the run of its successor.
+				if n > 1 {
+					cost -= runs[t.pc+1].cost
+				}
+				n = 1
+			}
+			blk := ops[t.pc : t.pc+n]
+			next := t.pc + n
+			for i := range blk {
+				o := &blk[i]
+				switch o.kind {
+				case opNop, opPause, opIO:
+					// Time only, already in cost.
+				case opMovImm:
+					t.regs[o.d] = o.imm
+				case opMov:
+					t.regs[o.d] = t.regs[o.a]
+				case opAdd:
+					t.regs[o.d] = t.regs[o.a] + t.regs[o.b]
+				case opSub:
+					t.regs[o.d] = t.regs[o.a] - t.regs[o.b]
+				case opMul:
+					t.regs[o.d] = t.regs[o.a] * t.regs[o.b]
+				case opDiv:
+					t.regs[o.d] = div(t.regs[o.a], t.regs[o.b])
+				case opAnd:
+					t.regs[o.d] = t.regs[o.a] & t.regs[o.b]
+				case opOr:
+					t.regs[o.d] = t.regs[o.a] | t.regs[o.b]
+				case opXor:
+					t.regs[o.d] = t.regs[o.a] ^ t.regs[o.b]
+				case opShl:
+					t.regs[o.d] = t.regs[o.a] << (uint64(t.regs[o.b]) & 63)
+				case opShr:
+					t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(t.regs[o.b]) & 63))
+				case opAddI:
+					t.regs[o.d] = t.regs[o.a] + o.imm
+				case opSubI:
+					t.regs[o.d] = t.regs[o.a] - o.imm
+				case opMulI:
+					t.regs[o.d] = t.regs[o.a] * o.imm
+				case opDivI:
+					t.regs[o.d] = div(t.regs[o.a], o.imm)
+				case opAndI:
+					t.regs[o.d] = t.regs[o.a] & o.imm
+				case opOrI:
+					t.regs[o.d] = t.regs[o.a] | o.imm
+				case opXorI:
+					t.regs[o.d] = t.regs[o.a] ^ o.imm
+				case opShlI:
+					t.regs[o.d] = t.regs[o.a] << (uint64(o.imm) & 63)
+				case opShrI:
+					t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(o.imm) & 63))
+				case opBranch:
+					if condHolds(isa.Cond(o.d), t.regs[o.a], t.regs[o.b]) {
+						next = int(o.arg)
+					}
+				case opBranchI:
+					if condHolds(isa.Cond(o.d), t.regs[o.a], o.imm) {
+						next = int(o.arg)
+					}
+				case opJump:
+					next = int(o.arg)
+				}
+			}
+			clk += cost
+			steps += uint64(n)
+			t.pc = next
+			continue
+		}
 		o := &ops[t.pc]
 		cost := costs[o.kind]
 		next := t.pc + 1
 		switch o.kind {
-		case opNop, opPause:
-		case opIO:
-			cost += uint64(o.imm)
-		case opMovImm:
-			t.regs[o.d] = o.imm
-		case opMov:
-			t.regs[o.d] = t.regs[o.a]
-		case opAdd:
-			t.regs[o.d] = t.regs[o.a] + t.regs[o.b]
-		case opSub:
-			t.regs[o.d] = t.regs[o.a] - t.regs[o.b]
-		case opMul:
-			t.regs[o.d] = t.regs[o.a] * t.regs[o.b]
-		case opDiv:
-			t.regs[o.d] = div(t.regs[o.a], t.regs[o.b])
-		case opAnd:
-			t.regs[o.d] = t.regs[o.a] & t.regs[o.b]
-		case opOr:
-			t.regs[o.d] = t.regs[o.a] | t.regs[o.b]
-		case opXor:
-			t.regs[o.d] = t.regs[o.a] ^ t.regs[o.b]
-		case opShl:
-			t.regs[o.d] = t.regs[o.a] << (uint64(t.regs[o.b]) & 63)
-		case opShr:
-			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(t.regs[o.b]) & 63))
-		case opAddI:
-			t.regs[o.d] = t.regs[o.a] + o.imm
-		case opSubI:
-			t.regs[o.d] = t.regs[o.a] - o.imm
-		case opMulI:
-			t.regs[o.d] = t.regs[o.a] * o.imm
-		case opDivI:
-			t.regs[o.d] = div(t.regs[o.a], o.imm)
-		case opAndI:
-			t.regs[o.d] = t.regs[o.a] & o.imm
-		case opOrI:
-			t.regs[o.d] = t.regs[o.a] | o.imm
-		case opXorI:
-			t.regs[o.d] = t.regs[o.a] ^ o.imm
-		case opShlI:
-			t.regs[o.d] = t.regs[o.a] << (uint64(o.imm) & 63)
-		case opShrI:
-			t.regs[o.d] = int64(uint64(t.regs[o.a]) >> (uint64(o.imm) & 63))
 		case opLoad:
 			if !allowMem {
 				break loop
@@ -778,16 +816,6 @@ loop:
 			}
 			memAcc++
 			view.store(addr, uint8(o.arg), v)
-		case opBranch:
-			if condHolds(isa.Cond(o.d), t.regs[o.a], t.regs[o.b]) {
-				next = int(o.arg)
-			}
-		case opBranchI:
-			if condHolds(isa.Cond(o.d), t.regs[o.a], o.imm) {
-				next = int(o.arg)
-			}
-		case opJump:
-			next = int(o.arg)
 		case opCall:
 			t.callStack = append(t.callStack, t.pc+1)
 			next = int(o.arg)

@@ -7,6 +7,10 @@ package pebs
 // wraps the stock source with that counter — it delegates without
 // altering the sequence — and restore moves the source forward to the
 // recorded number of draws.
+//
+// Seeding a math/rand source is the expensive step (it fills a 607-word
+// table), and most units never draw: a session without HITMs samples
+// nothing. So the source is built at the first draw, from the kept seed.
 
 import (
 	"fmt"
@@ -14,27 +18,37 @@ import (
 )
 
 type countingSource struct {
-	src rand.Source64
-	n   uint64
+	seed int64
+	src  rand.Source64 // nil until the first draw
+	n    uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countingSource{seed: seed}
+}
+
+// source returns the seeded source, building it on first use.
+func (c *countingSource) source() rand.Source64 {
+	if c.src == nil {
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
+	return c.src
 }
 
 func (c *countingSource) Int63() int64 {
 	c.n++
-	return c.src.Int63()
+	return c.source().Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
 	c.n++
-	return c.src.Uint64()
+	return c.source().Uint64()
 }
 
+// Seed rewinds the source to the start of seed's sequence; the next draw
+// builds it.
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	c.seed, c.src, c.n = seed, nil, 0
 }
 
 // State is a snapshot of a Unit: the RNG position, per-core HITM
@@ -66,9 +80,8 @@ func (u *Unit) CaptureState() *State {
 // the recorded draw count, so the next random value is exactly the one
 // the captured unit would have produced. A source that has not passed
 // that count — a freshly built unit's sits at zero — is advanced in
-// place; one that has is reseeded with the configured seed first.
-// Seeding is the expensive step, so a restore onto a new unit pays it
-// once, in New.
+// place; one that has is rewound to the configured seed first. A restore
+// to zero draws leaves the source unbuilt, so it never seeds.
 func (u *Unit) RestoreState(st *State) error {
 	if len(st.Counter) != len(u.counter) || len(st.Buf) != len(u.buf) {
 		return fmt.Errorf("pebs: snapshot for %d cores, unit has %d", len(st.Counter), len(u.counter))
@@ -76,8 +89,8 @@ func (u *Unit) RestoreState(st *State) error {
 	if u.src.n > st.Draws {
 		u.src.Seed(u.cfg.Seed)
 	}
-	for ; u.src.n < st.Draws; u.src.n++ {
-		u.src.src.Uint64()
+	for u.src.n < st.Draws {
+		u.src.Uint64()
 	}
 	copy(u.counter, st.Counter)
 	for c := range u.buf {
