@@ -6,39 +6,27 @@
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
 //	           [-ascale N] [-pscale N] [-runs N]
 //	           [-speculative-repair=true|false]
-//	           [-cache DIR] [-cache-gc AGE]
 //	           [-fault-plan SPEC] [-unit-retries N]
 //	           [-unit-deadline D] [-unit-backoff D]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
-// Every experiment is a registered spec (enumerated work units plus a
-// cache-pure assembly step); a single executor runs the selected specs'
-// units concurrently on every host core and assembles each figure from
-// the run cache. Set LASER_BENCH_PARALLEL to pick the worker count
-// (1 = fully serial). The rendered output is byte-identical at any
-// parallelism — only wall time changes. -exp takes a comma-separated
-// list of experiment or artifact names, "all" or "none"; any other
-// entry is an error, as is a positional argument, -runs below 1, a
-// non-positive or non-finite -ascale/-pscale, or a negative
-// -unit-retries, -unit-deadline, -unit-backoff or -cache-gc.
-//
-// -cache DIR attaches a persistent run cache: every simulation result
-// is content-addressed by (workload, scale, variant, tool, SAV, seed,
-// config fingerprint, code version) and persisted, so re-runs only
-// simulate misses. A warm run over a cache a cold run filled renders
-// byte-identically while simulating nothing: the final "runcache:"
-// stderr line reports simulated=0.
-//
-// -cache-gc AGE (requires -cache) prunes entries whose last access is
-// older than AGE (e.g. 720h) after the run, never evicting entries this
-// run used. `laserbench -cache DIR -exp none -cache-gc 720h` prunes
-// without evaluating anything.
+// Every experiment is a registered spec (enumerated work units plus an
+// assembly step that only reads their results); a single executor runs
+// the selected specs' units concurrently on every host core, simulating
+// each distinct unit once, and assembles each figure from the results.
+// Set LASER_BENCH_PARALLEL to pick the worker count (1 = fully serial).
+// The rendered output is byte-identical at any parallelism — only wall
+// time changes. Each experiment's stderr progress line reports how many
+// of its units it simulated and how many an earlier experiment already
+// had. -exp takes a comma-separated list of experiment or artifact
+// names, or "all"; any other entry is an error, as is a positional
+// argument, -runs below 1, a non-positive or non-finite -ascale/-pscale,
+// or a negative -unit-retries, -unit-deadline or -unit-backoff.
 //
 // -fault-plan SPEC (default $LASER_FAULT_PLAN) arms deterministic
 // fault injection for chaos runs: seeded injected panics, errors and
-// stalls per work-unit attempt plus run-cache read/write faults, all a
-// pure function of (seed, point, site, attempt) so a plan replays
-// identically at any parallelism. Units that fail retry with
+// stalls per work-unit attempt, all a pure function of (seed, point,
+// site, attempt) so a plan replays identically at any parallelism. Units that fail retry with
 // exponential backoff under a per-attempt deadline (-unit-retries,
 // -unit-deadline, -unit-backoff tune the policy); units that
 // exhaust the budget are quarantined — their figure renders explicit
@@ -75,8 +63,6 @@ type options struct {
 	faultPlan                 string
 	unitRetries               int
 	unitDeadline, unitBackoff time.Duration
-	cacheDir                  string
-	gcAge                     time.Duration
 	cpuprofile, memprofile    string
 }
 
@@ -93,8 +79,6 @@ func newFlags(handling flag.ErrorHandling) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.unitRetries, "unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
 	fs.DurationVar(&o.unitDeadline, "unit-deadline", 0, "per-attempt work-unit deadline (0 = default 30s)")
 	fs.DurationVar(&o.unitBackoff, "unit-backoff", 0, "backoff before the first unit retry, doubling per attempt (0 = default 100ms)")
-	fs.StringVar(&o.cacheDir, "cache", "", "persistent run-cache directory")
-	fs.DurationVar(&o.gcAge, "cache-gc", 0, "evict cache entries not accessed for this long after the run (requires -cache; 0 disables)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
 	return fs, o
@@ -124,13 +108,10 @@ func (o *options) validate(args []string) error {
 	for _, f := range []struct {
 		name string
 		v    time.Duration
-	}{{"-unit-deadline", o.unitDeadline}, {"-unit-backoff", o.unitBackoff}, {"-cache-gc", o.gcAge}} {
+	}{{"-unit-deadline", o.unitDeadline}, {"-unit-backoff", o.unitBackoff}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s %s: want 0 (default) or a positive duration", f.name, f.v)
 		}
-	}
-	if o.gcAge > 0 && o.cacheDir == "" {
-		return fmt.Errorf("-cache-gc requires -cache")
 	}
 	return nil
 }
@@ -139,20 +120,10 @@ func main() {
 	fs, o := newFlags(flag.ExitOnError)
 	fs.Parse(os.Args[1:])
 
-	printCacheStats := func() {
-		if o.cacheDir == "" {
-			return
-		}
-		st := experiments.CacheStats()
-		fmt.Fprintf(os.Stderr, "laserbench: runcache: simulated=%d disk_hits=%d mem_hits=%d corrupt=%d write_errs=%d\n",
-			st.Computes, st.DiskHits, st.MemHits, st.Corrupt, st.WriteErrs)
-	}
 	fail := func(err error) {
 		// Flush an in-flight CPU profile before exiting (StopCPUProfile
-		// is a no-op when none is active), and report the cache counters:
-		// a failing run is exactly when the data is wanted.
+		// is a no-op when none is active).
 		pprof.StopCPUProfile()
-		printCacheStats()
 		fmt.Fprintln(os.Stderr, "laserbench:", err)
 		os.Exit(1)
 	}
@@ -190,16 +161,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if o.cacheDir != "" {
-		if err := experiments.SetCacheDir(o.cacheDir); err != nil {
-			fail(err)
-		}
-		// The stats line is what the CI warm-run smoke test asserts
-		// simulated=0 on. (Exits through fail print it there instead —
-		// os.Exit skips deferred calls.)
-		defer printCacheStats()
-	}
-
 	cfg := experiments.Config{AccuracyScale: o.ascale, PerfScale: o.pscale, Runs: o.runs, SpeculativeRepair: o.specRepair}
 	all := want["all"]
 	start := time.Now()
@@ -227,14 +188,6 @@ func main() {
 	if len(results) > 0 {
 		fmt.Fprintf(os.Stderr, "laserbench: %d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
 	}
-	if o.gcAge > 0 {
-		st, err := experiments.CacheGC(o.gcAge)
-		if err != nil {
-			fail(fmt.Errorf("cache-gc: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "laserbench: cache-gc: evicted %d of %d entries (%.1f MiB reclaimed, %.1f MiB remain, %d pinned)\n",
-			st.Evicted, st.Scanned, float64(st.EvictedBytes)/(1<<20), float64(st.RemainingBytes)/(1<<20), st.Pinned)
-	}
 
 	if o.memprofile != "" {
 		f, err := os.Create(o.memprofile)
@@ -259,11 +212,11 @@ func main() {
 }
 
 // parseExp splits the -exp list and checks every entry against the
-// registered experiments and their artifacts (plus "all" and "none"),
+// registered experiments and their artifacts (plus "all"),
 // so a misspelt name fails the run instead of silently selecting
 // nothing.
 func parseExp(list string) (map[string]bool, error) {
-	known := map[string]bool{"all": true, "none": true}
+	known := map[string]bool{"all": true}
 	for _, s := range experiments.Specs() {
 		known[s.Name] = true
 		for _, a := range s.Artifacts {

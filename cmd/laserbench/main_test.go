@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestParseExp(t *testing.T) {
 		bad  string   // the entry the error must name
 	}{
 		{list: "all", want: []string{"all"}},
-		{list: "none", want: []string{"none"}},
+		{list: "none", bad: `"none"`},
 		{list: "fig11", want: []string{"fig11"}},
 		{list: "fig11, fig13", want: []string{"fig11", "fig13"}},
 		{list: "accuracy,tab1", want: []string{"accuracy", "tab1"}},
@@ -54,8 +55,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{args: nil},
 		{args: []string{"-exp", "fig13", "-pscale", "0.3", "-runs", "1"}},
-		{args: []string{"-unit-retries", "0", "-unit-deadline", "0", "-unit-backoff", "0", "-cache-gc", "0"}},
-		{args: []string{"-cache", "dir", "-cache-gc", "720h"}},
+		{args: []string{"-unit-retries", "0", "-unit-deadline", "0", "-unit-backoff", "0"}},
 		{args: []string{"-exp", "fig3", "fig13"}, bad: `"fig13"`},
 		{args: []string{"-runs", "0"}, bad: "-runs"},
 		{args: []string{"-runs", "-2"}, bad: "-runs"},
@@ -67,8 +67,6 @@ func TestValidateFlags(t *testing.T) {
 		{args: []string{"-unit-retries", "-1"}, bad: "-unit-retries"},
 		{args: []string{"-unit-deadline", "-1s"}, bad: "-unit-deadline"},
 		{args: []string{"-unit-backoff", "-1ms"}, bad: "-unit-backoff"},
-		{args: []string{"-cache", "dir", "-cache-gc", "-1h"}, bad: "-cache-gc"},
-		{args: []string{"-cache-gc", "720h"}, bad: "-cache-gc requires -cache"},
 	} {
 		fs, o := newFlags(flag.ContinueOnError)
 		if err := fs.Parse(tc.args); err != nil {
@@ -82,6 +80,14 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%v: accepted, want an error naming %s", tc.args, tc.bad)
 		case tc.bad != "" && !strings.Contains(err.Error(), tc.bad):
 			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.bad)
+		}
+	}
+	// The run-cache flags are gone: the parser rejects them.
+	for _, args := range [][]string{{"-cache", "dir"}, {"-cache-gc", "720h"}} {
+		fs, _ := newFlags(flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v: accepted, want an unknown-flag error", args)
 		}
 	}
 }

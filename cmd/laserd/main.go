@@ -42,8 +42,8 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/runcache"
 	"repro/internal/serverd"
+	"repro/internal/statestore"
 )
 
 func main() {
@@ -101,7 +101,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("laserd %s listening on %s", runcache.CodeVersion(), *addr)
+	log.Printf("laserd %s listening on %s", statestore.CodeVersion(), *addr)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("laserd: %v", err)
 	}

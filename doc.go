@@ -57,12 +57,11 @@
 // "The decoded program".
 //
 // The experiment harness in internal/experiments is a registry of
-// declarative experiment specs: each figure enumerates its cacheable
-// simulations as work units and assembles its artifacts from a
-// persistent content-addressed run cache (internal/runcache), while a
-// single executor fans the units out across all host cores and
-// deduplicates them across experiments (see DESIGN.md, "The experiment
-// registry"). Each simulation runs on the serial engine.
+// declarative experiment specs: each figure enumerates its simulations
+// as work units and assembles its artifacts from an in-process memo of
+// their results, while a single executor fans the units out across all
+// host cores and deduplicates them across experiments (see DESIGN.md,
+// "The experiment registry"). Each simulation runs on the serial engine.
 // LASER_BENCH_PARALLEL selects the pool worker count (default
 // GOMAXPROCS; 1 recovers the serial harness); results are assembled in
 // index order, so every rendered table and figure is byte-identical at

@@ -1,14 +1,13 @@
 // Package codec is the repository's one serializer: the compact binary
 // encoding behind laser's session snapshots (SessionState.Encode and
-// DecodeSessionState) and the run cache's persisted results. It is
+// DecodeSessionState), which laserd journals. It is
 // driven by reflection over exported struct fields, in declaration
 // order, so the encoded types need no code of their own and no
 // registration. Each type is compiled once into a pair of closures and
 // cached.
 //
 // The wire form carries no type information; both sides must be the
-// same build (checkpoints and run-cache entries pin it with their code
-// version):
+// same build (journal checkpoints pin it with their code version):
 //
 //	bool            one byte, 0 or 1
 //	int kinds       zig-zag varint

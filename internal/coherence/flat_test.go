@@ -152,3 +152,50 @@ func TestGrownDirectoryMatchesPresized(t *testing.T) {
 		t.Errorf("CheckInvariants: grown %v, presized %v", ge, pe)
 	}
 }
+
+// Restoring a large snapshot into a fresh directory sizes the table
+// once, up front, instead of regrowing it by doubling as lines arrive,
+// and the restored directory is the source's.
+func TestRestoreSizesTableOnce(t *testing.T) {
+	src := NewModel(4)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 3000; i++ {
+		a := mem.HeapBase + mem.Addr(i)*mem.LineSize
+		src.Access(rng.Intn(4), a, rng.Intn(2) == 0)
+		src.Access(rng.Intn(4), a, rng.Intn(2) == 0)
+	}
+	st := src.CaptureState()
+	if len(st.Entries) != 3000 {
+		t.Fatalf("snapshot holds %d lines, want 3000", len(st.Entries))
+	}
+
+	dst := NewModel(4)
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.CaptureState(), st) {
+		t.Error("restored CaptureState differs from the source's")
+	}
+	if dst.Counts != src.Counts {
+		t.Errorf("Counts %v, source %v", dst.Counts, src.Counts)
+	}
+	if err := dst.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+
+	const runs = 10
+	fresh := make([]*Model, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range fresh {
+		fresh[i] = NewModel(4)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := fresh[next].RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 1 {
+		t.Errorf("restoring %d lines into a fresh directory allocated %v times, want 1 (the table)", len(st.Entries), allocs)
+	}
+}

@@ -54,11 +54,20 @@ func (m *Model) CaptureState() *State {
 }
 
 // RestoreState resets the directory to exactly the captured state. The
-// backing table is reused; stale recently-used slot indices self-
-// validate so no cache bookkeeping is needed.
+// backing table is reused when it holds the snapshot's lines under
+// stateOf's 3/4 load rule, and otherwise replaced once by a table that
+// does, so the inserts below never grow it; stale recently-used slot
+// indices self-validate so no cache bookkeeping is needed.
 func (m *Model) RestoreState(st *State) error {
 	if st.Cores != m.cores {
 		return fmt.Errorf("coherence: snapshot for %d cores, model has %d", st.Cores, m.cores)
+	}
+	size := len(m.slots)
+	for 4*len(st.Entries) > 3*size {
+		size *= 2
+	}
+	if size > len(m.slots) {
+		m.slots, m.mask = make([]slot, size), uint64(size-1)
 	}
 	m.Reset()
 	for i := range st.Entries {

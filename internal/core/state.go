@@ -13,10 +13,9 @@ import (
 // PipeState captures the cumulative per-line aggregates a Pipeline has
 // accumulated, in a flat, export-friendly shape (plain structs, sorted
 // slices, no maps of pointers), and can rebuild the detector's reports
-// at any rate threshold without the pipeline — the property behind both
-// the Figure 9 offline re-thresholding and the experiment harness's
-// persistent run cache, which stores snapshots instead of live
-// pipelines.
+// at any rate threshold without the pipeline — the property behind the
+// Figure 9 offline re-thresholding, and the reason the experiment
+// harness keeps snapshots instead of live pipelines.
 
 // LineAggregate is one source line's accumulated evidence.
 type LineAggregate struct {

@@ -10,8 +10,8 @@ import (
 )
 
 // A PipeState must rebuild the pipeline's reports exactly — including
-// after a codec round trip, which is how the experiment run cache
-// persists detector results.
+// after a codec round trip, which is how laser session snapshots carry
+// detector state.
 func TestPipeStateReportEquivalence(t *testing.T) {
 	pipe, secs := runDetect(t, fsProgram(), fsSpecs(), 19)
 	st := pipe.State()

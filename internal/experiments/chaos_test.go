@@ -46,9 +46,9 @@ func renderAll(results []SpecResult) string {
 // attempt — must be absorbed by the retry budget: same artifacts, byte
 // for byte, as a fault-free run, with the retries on the record.
 func TestRunTransientFaultsByteIdentical(t *testing.T) {
-	resetCache()
-	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	resetRunMemo()
+	t.Cleanup(resetRunMemo)
+	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" }
 
 	clean, cleanSum, err := Run(cfg, want, chaosOpts())
@@ -59,7 +59,7 @@ func TestRunTransientFaultsByteIdentical(t *testing.T) {
 		t.Fatalf("clean run reported failures: %s", cleanSum)
 	}
 
-	resetCache()
+	resetRunMemo()
 	// Half the units fail their first attempt with an injected error, a
 	// third panic on it; every fault is bounded to attempt 1, so the
 	// retry heals everything.
@@ -91,9 +91,9 @@ func TestRunTransientFaultsByteIdentical(t *testing.T) {
 // its spec renders explicit marker rows, sibling specs render normally,
 // and the summary names the quarantined keys.
 func TestRunPermanentFaultQuarantines(t *testing.T) {
-	resetCache()
-	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	resetRunMemo()
+	t.Cleanup(resetRunMemo)
+	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" || e == "fig13" }
 
 	// Permanently fail fig13's laser SAV sweep; fig3 (characterization
@@ -140,9 +140,9 @@ func TestRunPermanentFaultQuarantines(t *testing.T) {
 // A stalled unit is preempted by its deadline, retried, and
 // recovers when the stall is bounded to the first attempt.
 func TestRunDeadlinePreemptsStall(t *testing.T) {
-	resetCache()
-	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	resetRunMemo()
+	t.Cleanup(resetRunMemo)
+	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" }
 
 	// One characterization unit stalls 30s on its first attempt; the
@@ -181,11 +181,11 @@ func TestRunDeadlinePreemptsStall(t *testing.T) {
 // re-retry it: the poisoned key fails the later spec immediately, with
 // the original failure's record.
 func TestQuarantinePoisonsLaterSpecs(t *testing.T) {
-	resetCache()
-	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	resetRunMemo()
+	t.Cleanup(resetRunMemo)
+	cfg := smallConfig()
 	// fig11 and fig12 share native baseline units (the cross-spec dedup
-	// pair the cache tests use).
+	// pair TestExecutorCrossSpecDedup uses).
 	want := func(e string) bool { return e == "fig11" || e == "fig12" }
 
 	enableFaults(t, "seed=4;unit.err:p=1,match=native/dedup@")

@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/runcache"
 )
 
 // The executor owns the evaluation's run loop: it walks the registry in
 // print order, executes every selected spec's work units on the
-// inter-run worker pool, deduplicates units across experiments by cache
-// key, accounts per-unit cache hits versus simulations, and assembles
-// each spec's artifacts only after its units are in the cache.
+// inter-run worker pool, deduplicates units across experiments by key,
+// accounts per-unit memo hits versus simulations, and assembles each
+// spec's artifacts only after its units are in the run memo.
 //
 // Execution is chaos-hardened: every work unit runs under recover()
 // with a flat per-attempt deadline and a bounded exponential-backoff
@@ -29,9 +28,9 @@ type SpecResult struct {
 	Spec     *Spec
 	Rendered *Rendered
 	// Units is how many work units the spec enumerated. Simulated of
-	// them were computed during this spec's phase; CacheHits were served
-	// from the run cache — memory, disk, or an earlier spec's phase
-	// (cross-experiment dedup).
+	// them were computed during this spec's phase; CacheHits were
+	// already in the run memo — computed by an earlier spec's phase
+	// (cross-experiment dedup) or by an earlier call in this process.
 	Units, Simulated, CacheHits int
 	// FailedUnits counts units quarantined after exhausting their retry
 	// budget, including units an earlier spec already quarantined
@@ -43,11 +42,7 @@ type SpecResult struct {
 	// failure, labelled "<assemble>", if any), in unit order.
 	Failures []UnitFailure
 	// WallSeconds is the phase's wall time, execution plus assembly.
-	// Warm marks it as measured against an already-warm cache
-	// (Simulated == 0): it reflects cache assembly, not simulation
-	// throughput, and must not be compared against cold wall times.
 	WallSeconds float64
-	Warm        bool
 }
 
 // Failed reports whether the spec rendered quarantine markers instead
@@ -121,12 +116,12 @@ func (o RunOptions) policy() runPolicy {
 // order, so the summary is deterministic at any parallelism.
 type executor struct {
 	pol         runPolicy
-	quarantined map[string]*UnitFailure // by cache-key ID
+	quarantined map[Key]*UnitFailure
 	summary     FailureSummary
 }
 
 func newExecutor(pol runPolicy) *executor {
-	return &executor{pol: pol, quarantined: make(map[string]*UnitFailure)}
+	return &executor{pol: pol, quarantined: make(map[Key]*UnitFailure)}
 }
 
 // runAttempt executes one attempt of a unit under recover() and the
@@ -138,9 +133,14 @@ func newExecutor(pol runPolicy) *executor {
 // The unit.* injection points fire here, keyed by the unit's label: a
 // panic at the start of the attempt, an injected error, or a stall.
 // The stall consumes the whole attempt (it never proceeds to run the
-// unit): the run cache's singleflight would otherwise pin later
-// attempts behind the stalled computation.
-func (x *executor) runAttempt(u WorkUnit, attempt int) error {
+// unit): the run memo's single flight would otherwise pin later
+// attempts behind the stalled computation. computed reports whether
+// the attempt simulated the unit.
+func (x *executor) runAttempt(u WorkUnit, attempt int) (bool, error) {
+	// computed is read only after done delivers, which orders the
+	// goroutine's write before the read; a preempted attempt's late
+	// write has no reader.
+	var computed bool
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -157,37 +157,40 @@ func (x *executor) runAttempt(u WorkUnit, attempt int) error {
 			done <- err
 			return
 		}
-		done <- u.Run()
+		var err error
+		computed, err = u.Run()
+		done <- err
 	}()
 	timer := time.NewTimer(x.pol.deadline)
 	defer timer.Stop()
 	select {
 	case err := <-done:
-		return err
+		return computed, err
 	case <-timer.C:
-		return &unitTimeoutError{label: u.Label, deadline: x.pol.deadline}
+		return false, &unitTimeoutError{label: u.Label, deadline: x.pol.deadline}
 	}
 }
 
 // runUnit drives one unit through the retry budget. It returns the
 // unit's failure when every attempt failed (the unit is then
 // quarantined by the caller) or the retry record when it succeeded
-// after failed attempts; (nil, nil) is a clean first-attempt success.
+// after failed attempts; neither is a clean first-attempt success. The
+// bool reports whether the successful attempt simulated the unit.
 // runUnit touches no executor state — it runs concurrently on the
 // worker pool and the serial spec loop folds its results in unit order.
-func (x *executor) runUnit(spec string, u WorkUnit) (*UnitFailure, *UnitRetry) {
+func (x *executor) runUnit(spec string, u WorkUnit) (*UnitFailure, *UnitRetry, bool) {
 	var kinds []string
 	var lastErr error
 	for attempt := 1; attempt <= x.pol.maxAttempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(x.pol.backoffBase << (attempt - 2))
 		}
-		err := x.runAttempt(u, attempt)
+		computed, err := x.runAttempt(u, attempt)
 		if err == nil {
 			if len(kinds) == 0 {
-				return nil, nil
+				return nil, nil, computed
 			}
-			return nil, &UnitRetry{Spec: spec, Label: u.Label, Attempts: attempt, Kinds: kinds}
+			return nil, &UnitRetry{Spec: spec, Label: u.Label, Attempts: attempt, Kinds: kinds}, computed
 		}
 		kinds = append(kinds, classifyFault(err))
 		lastErr = err
@@ -195,24 +198,24 @@ func (x *executor) runUnit(spec string, u WorkUnit) (*UnitFailure, *UnitRetry) {
 	return &UnitFailure{
 		Spec:     spec,
 		Label:    u.Label,
-		Key:      u.Key.ID(),
+		Key:      u.Key.String(),
 		Attempts: x.pol.maxAttempts,
 		Kinds:    kinds,
 		Reason:   lastErr.Error(),
-	}, nil
+	}, nil, false
 }
 
 // fold records a phase's per-unit outcomes into the quarantine and the
 // summary, in unit order — called from the serial spec loop only.
-func (x *executor) fold(fails []*UnitFailure, retries []*UnitRetry) {
-	for _, f := range fails {
+func (x *executor) fold(phase []WorkUnit, fails []*UnitFailure, retries []*UnitRetry) {
+	for i, f := range fails {
 		if f == nil {
 			continue
 		}
-		if _, dup := x.quarantined[f.Key]; dup {
+		if _, dup := x.quarantined[phase[i].Key]; dup {
 			continue
 		}
-		x.quarantined[f.Key] = f
+		x.quarantined[phase[i].Key] = f
 		x.summary.Quarantined = append(x.summary.Quarantined, *f)
 	}
 	for _, r := range retries {
@@ -260,7 +263,7 @@ func selected(s *Spec, want func(string) bool) bool {
 // for infrastructure failures, not unit failures.
 func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, *FailureSummary, error) {
 	x := newExecutor(opt.policy())
-	executed := make(map[string]bool)
+	executed := make(map[Key]bool)
 	var out []SpecResult
 	for _, spec := range Specs() {
 		if !selected(spec, want) {
@@ -272,39 +275,36 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		for _, u := range units {
 			// Keys an earlier spec quarantined are poisoned, not re-tried:
 			// the retry budget is per key, not per (spec, key).
-			if id := u.Key.ID(); !executed[id] && x.quarantined[id] == nil {
+			if !executed[u.Key] && x.quarantined[u.Key] == nil {
 				phase = append(phase, u)
 			}
 		}
 		fails := make([]*UnitFailure, len(phase))
 		retries := make([]*UnitRetry, len(phase))
+		computed := make([]bool, len(phase))
 		forEach(len(phase), func(i int) error {
-			fails[i], retries[i] = x.runUnit(spec.Name, phase[i])
+			fails[i], retries[i], computed[i] = x.runUnit(spec.Name, phase[i])
 			return nil
 		})
-		x.fold(fails, retries)
+		x.fold(phase, fails, retries)
 
 		res := SpecResult{Spec: spec, Units: len(units)}
-		phaseIDs := make(map[string]bool, len(phase))
-		for _, u := range phase {
-			phaseIDs[u.Key.ID()] = true
+		for i := range phase {
+			if computed[i] {
+				res.Simulated++
+			}
 		}
 		for _, u := range units {
-			id := u.Key.ID()
-			if f := x.quarantined[id]; f != nil {
-				// A failing simulation is not memoized by the run cache, so
-				// a quarantined unit is neither a hit nor a simulation.
+			if f := x.quarantined[u.Key]; f != nil {
+				// A failing simulation is not memoized, so a quarantined
+				// unit is neither a hit nor a simulation.
 				res.FailedUnits++
 				res.Failures = append(res.Failures, *f)
 				continue
 			}
-			executed[id] = true
-			if oc, ok := cache.Lookup(u.Key); ok && oc == runcache.Computed && phaseIDs[id] {
-				res.Simulated++
-			} else {
-				res.CacheHits++
-			}
+			executed[u.Key] = true
 		}
+		res.CacheHits = res.Units - res.FailedUnits - res.Simulated
 		if res.FailedUnits > 0 {
 			res.Rendered = quarantineRendered(spec, res.Failures)
 		} else if rendered, err := assemble(spec, cfg); err != nil {
@@ -323,7 +323,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 			res.Rendered = rendered
 		}
 		res.WallSeconds = time.Since(start).Seconds()
-		res.Warm = res.Simulated == 0 && !res.Failed()
 		if opt.Progress != nil {
 			failNote := ""
 			if res.Failed() {

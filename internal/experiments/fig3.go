@@ -7,7 +7,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/pebs"
-	"repro/internal/runcache"
 	"repro/internal/texttab"
 )
 
@@ -198,27 +197,23 @@ func RunFigure3() ([]CharCase, []CharSummary, error) {
 
 var charSeeds = map[CharCategory]int64{TSRW: 1, FSRW: 2, TSWW: 3, FSWW: 4}
 
-// charKey builds the cache key (and PEBS configuration) of one
-// characterization case.
-func charKey(cat CharCategory, variant int) (runcache.Key, pebs.Config) {
+// charJob is one characterization case: the 160 cases are
+// deterministic in (category, variant) and the PEBS configuration,
+// like every other simulation of the evaluation.
+func charJob(cat CharCategory, variant int) (Key, func() (CharCase, error)) {
 	pcfg := pebs.Config{SAV: 1, BufferCap: 256, AssistCycles: 0,
 		Seed: int64(variant)*41 + charSeeds[cat]}
-	return runcache.Key{
+	key := Key{
 		Tool: "char", Workload: string(cat), Seed: int64(variant),
-		SAV:     pcfg.SAV,
-		Config:  fp(pcfg),
-		Version: runcache.CodeVersion(),
-	}, pcfg
+		SAV:    pcfg.SAV,
+		Config: fp(pcfg),
+	}
+	return key, func() (CharCase, error) { return simCharCase(cat, variant, pcfg) }
 }
 
-// runCharCase executes one characterization case, through the run
-// cache: the 160 cases are deterministic in (category, variant) and the
-// PEBS configuration, like every other simulation of the evaluation.
+// runCharCase executes one characterization case, memoized.
 func runCharCase(cat CharCategory, variant int) (CharCase, error) {
-	key, pcfg := charKey(cat, variant)
-	return runcache.Do(cache, key, func() (CharCase, error) {
-		return simCharCase(cat, variant, pcfg)
-	})
+	return recall(charJob(cat, variant))
 }
 
 func simCharCase(cat CharCategory, variant int, pcfg pebs.Config) (CharCase, error) {

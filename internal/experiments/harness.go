@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/baseline/sheriff"
 	"repro/internal/baseline/vtune"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pebs"
 	"repro/internal/repair"
-	"repro/internal/runcache"
 	"repro/internal/workload"
 	"repro/laser"
 )
@@ -101,47 +99,10 @@ func Parallelism() int {
 // build machines with it.
 const simCores = 4
 
-// cache is the harness's run-result store. Every simulation the
-// evaluation performs is deterministic in its cache key (workload,
-// scale, variant, tool, SAV, seed, config fingerprint, code version) —
-// parallelism knobs are byte-identity-preserving and deliberately
-// excluded — so results memoize across figures and repetitions
-// in-process, and, once SetCacheDir attaches a directory, across
-// processes: incremental re-runs only simulate cache misses.
-var cache = runcache.NewMemory()
-
-// SetCacheDir attaches a persistent cache directory (creating it if
-// needed) for every subsequent run. Call before starting experiments.
-func SetCacheDir(dir string) error {
-	s, err := runcache.Open(dir)
-	if err != nil {
-		return err
-	}
-	cache = s
-	return nil
-}
-
-// CacheStats reports the run cache's activity counters — Computes is
-// the number of simulations actually executed, everything else was
-// served from memory or disk.
-func CacheStats() runcache.Stats { return cache.Stats() }
-
-// CacheGC prunes the attached persistent cache directory by last access
-// (see runcache.Store.GC); without an attached directory it is a no-op.
-// Entries the current process has already served are never evicted, so
-// an evaluation can GC its own cache after assembling.
-func CacheGC(maxAge time.Duration) (runcache.GCStats, error) {
-	return cache.GC(maxAge)
-}
-
-// resetCache drops all cached runs (tests use it to force
-// re-simulation between equivalence captures).
-func resetCache() { cache = runcache.NewMemory() }
-
-// fp hashes a configuration value's %+v rendering into a short cache
+// fp hashes a configuration value's %+v rendering into a short key
 // fingerprint. Field renames or additions change the rendering and thus
-// the fingerprint; behavioural code changes are covered by the cache
-// key's Version component instead.
+// the fingerprint; code changes need no key component, because results
+// never outlive the process that computed them.
 func fp(v any) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
 	return hex.EncodeToString(sum[:12])
@@ -202,11 +163,10 @@ func forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// laserRun is the cached result of one full-stack LASER run: everything
-// the figures and tables consume, in a serializable shape. The detector
-// state is retained as a core.PipeState snapshot, so the exit report —
-// and any offline re-thresholding (Figure 9) — is rebuilt on demand,
-// byte-identical whether the run was simulated or decoded from disk.
+// laserRun is the memoized result of one full-stack LASER run:
+// everything the figures and tables consume. The detector state is
+// retained as a core.PipeState snapshot, so the exit report — and any
+// offline re-thresholding (Figure 9) — is rebuilt on demand.
 type laserRun struct {
 	Stats *machine.Stats
 	Pipe  *core.PipeState
@@ -235,7 +195,7 @@ func (r *laserRun) Report() *core.Report { return r.Pipe.Report(r.Seconds) }
 
 // RepairError returns why a triggered repair was refused (nil if repair
 // never triggered or succeeded) — laser.Result.RepairErr, reconstructed
-// from the cacheable message.
+// from the recorded message.
 func (r *laserRun) RepairError() error {
 	if !r.RepairDeclined {
 		return nil
@@ -243,11 +203,15 @@ func (r *laserRun) RepairError() error {
 	return errors.New(r.RepairErrMsg)
 }
 
-// laserKey builds the cache key (and the exact configuration) of one
-// full-stack LASER run; runLaser and the work-unit enumeration share
-// it, so the executor warms precisely the entries the figure runners
-// will look up.
-func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int64) (runcache.Key, laser.Config) {
+// Each simulation flavor below has a job: its Key and the computation
+// the key stands for. The figure runners recall a job through the memo
+// (runNative, runLaser, ...), and the work-unit enumeration wraps the
+// very same job as a unit (registry.go), so the executor fills exactly
+// the entries the runners will look up.
+
+// laserKey builds the key (and the exact configuration) of one
+// full-stack LASER run.
+func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int64) (Key, laser.Config) {
 	cfg := laser.DefaultConfig()
 	if sav > 0 {
 		cfg.PEBS.SAV = sav
@@ -258,16 +222,21 @@ func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int
 	cfg.PollInterval = laser.AutoPollInterval(cfg.PollInterval, scale)
 	cfg.EnableRepair = repairOn
 	// SpeculativeRepair enters the configuration fingerprint below, so
-	// trial-on and trial-off runs can never collide in the cache.
+	// trial-on and trial-off runs never share a key.
 	cfg.SpeculativeRepair = spec && repairOn
 	cfg.MaxEpochs = 1
-	return runcache.Key{
+	return Key{
 		Tool: "laser", Workload: name, Scale: scale,
 		SAV: cfg.PEBS.SAV, Seed: seed,
-		Extra:   fmt.Sprintf("repair=%t frozen=true bias=%d", repairOn, laser.AttachBias),
-		Config:  cfg.Fingerprint(),
-		Version: runcache.CodeVersion(),
+		Extra:  fmt.Sprintf("repair=%t frozen=true bias=%d", repairOn, laser.AttachBias),
+		Config: cfg.Fingerprint(),
 	}, cfg
+}
+
+// laserJob is one full-stack LASER run.
+func laserJob(name string, scale float64, repairOn, spec bool, sav int, seed int64) (Key, func() (*laserRun, error)) {
+	key, cfg := laserKey(name, scale, repairOn, spec, sav, seed)
+	return key, laserCompute(cfg, name, scale)
 }
 
 // runLaser executes one workload under the full LASER stack, via the
@@ -275,21 +244,20 @@ func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int
 // detect→repair epoch with monitoring frozen after a rewrite — the
 // paper's one-shot semantics, pinned with options — so every rendered
 // table and figure is byte-identical to the one-shot system. Results
-// are served from the run cache when available.
+// are memoized.
 func runLaser(name string, scale float64, repairOn, spec bool, sav int, seed int64) (*laserRun, error) {
-	key, cfg := laserKey(name, scale, repairOn, spec, sav, seed)
-	return runLaserKeyed(key, cfg, name, scale)
+	return recall(laserJob(name, scale, repairOn, spec, sav, seed))
 }
 
-// laserProbeKey derives the cache key and configuration of a
-// speculative probe run: a laser run with repair and trials on whose
-// detector triggers on all contention (RepairAllContention) at the
-// detection rate threshold, so workloads whose contention classifies as
-// true sharing — dedup's lock queues, reverse_index's allocator — still
-// reach the trial engine and earn a measured verdict. The widened
-// detector enters both the Extra tag and the configuration fingerprint,
-// so probe runs can never collide with ordinary repair runs.
-func laserProbeKey(name string, scale float64, sav int, seed int64) (runcache.Key, laser.Config) {
+// laserProbeJob is a speculative probe run: a laser run with repair
+// and trials on whose detector triggers on all contention
+// (RepairAllContention) at the detection rate threshold, so workloads
+// whose contention classifies as true sharing — dedup's lock queues,
+// reverse_index's allocator — still reach the trial engine and earn a
+// measured verdict. The widened detector enters both the Extra tag and
+// the configuration fingerprint, so probe runs never share a key with
+// ordinary repair runs.
+func laserProbeJob(name string, scale float64, sav int, seed int64) (Key, func() (*laserRun, error)) {
 	key, cfg := laserKey(name, scale, true, true, sav, seed)
 	cfg.Detector.RepairAllContention = true
 	cfg.Detector.RepairRateThreshold = cfg.Detector.RateThreshold
@@ -312,17 +280,16 @@ func laserProbeKey(name string, scale float64, sav int, seed int64) (runcache.Ke
 	cfg.PEBS.BufferCap = 1
 	key.Extra += " probe=true"
 	key.Config = cfg.Fingerprint()
-	return key, cfg
+	return key, laserCompute(cfg, name, scale)
 }
 
-// runLaserProbe executes one speculative probe run (laserProbeKey).
+// runLaserProbe executes one speculative probe run (laserProbeJob).
 func runLaserProbe(name string, scale float64, sav int, seed int64) (*laserRun, error) {
-	key, cfg := laserProbeKey(name, scale, sav, seed)
-	return runLaserKeyed(key, cfg, name, scale)
+	return recall(laserProbeJob(name, scale, sav, seed))
 }
 
-func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float64) (*laserRun, error) {
-	return runcache.Do(cache, key, func() (*laserRun, error) {
+func laserCompute(cfg laser.Config, name string, scale float64) func() (*laserRun, error) {
+	return func() (*laserRun, error) {
 		w, ok := workload.Get(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
@@ -354,64 +321,55 @@ func runLaserKeyed(key runcache.Key, cfg laser.Config, name string, scale float6
 			lr.RepairDeclined, lr.RepairErrMsg = true, res.RepairErr.Error()
 		}
 		return lr, nil
-	})
-}
-
-// nativeKey builds the cache key of one native (unmonitored) run.
-func nativeKey(name string, scale float64, variant workload.Variant) runcache.Key {
-	return runcache.Key{
-		Tool: "native", Workload: name, Scale: scale,
-		Variant: fmt.Sprintf("v%d", variant),
-		Config:  fp(struct{ Cores int }{simCores}),
-		Version: runcache.CodeVersion(),
 	}
 }
 
-// runNative executes one workload without monitoring and returns its
-// stats. The result is cached; callers must treat it as read-only.
-// Figure 10 alone needs the same baseline for its LASER and VTune
-// columns Runs times each, and Figures 11/12/14 revisit many of the
-// same keys.
-func runNative(name string, scale float64, variant workload.Variant) (*machine.Stats, error) {
-	key := nativeKey(name, scale, variant)
-	return runcache.Do(cache, key, func() (*machine.Stats, error) {
+// nativeJob is one native (unmonitored) run.
+func nativeJob(name string, scale float64, variant workload.Variant) (Key, func() (*machine.Stats, error)) {
+	key := Key{
+		Tool: "native", Workload: name, Scale: scale,
+		Variant: fmt.Sprintf("v%d", variant),
+		Config:  fp(struct{ Cores int }{simCores}),
+	}
+	return key, func() (*machine.Stats, error) {
 		w, ok := workload.Get(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
 		}
 		img := w.Build(workload.Options{Scale: scale, Variant: variant})
 		return laser.RunNative(img, simCores)
-	})
+	}
 }
 
-// vtuneOutcome bundles a VTune profiling run (exported fields: the run
-// cache persists it by value).
+// runNative executes one workload without monitoring and returns its
+// stats. The result is memoized; callers must treat it as read-only.
+// Figure 10 alone needs the same baseline for its LASER and VTune
+// columns Runs times each, and Figures 11/12/14 revisit many of the
+// same keys.
+func runNative(name string, scale float64, variant workload.Variant) (*machine.Stats, error) {
+	return recall(nativeJob(name, scale, variant))
+}
+
+// vtuneOutcome bundles a VTune profiling run.
 type vtuneOutcome struct {
 	Lines   []vtune.ReportLine
 	Stats   *machine.Stats
 	Seconds float64
 }
 
-// vtuneKey builds the cache key (and configuration) of one VTune run.
-func vtuneKey(name string, scale float64, seed int64) (runcache.Key, vtune.Config) {
+// vtuneJob is one run under the VTune model.
+func vtuneJob(name string, scale float64, seed int64) (Key, func() (*vtuneOutcome, error)) {
 	vcfg := vtune.DefaultConfig()
 	vcfg.Seed = seed
-	return runcache.Key{
+	key := Key{
 		Tool: "vtune", Workload: name, Scale: scale, Seed: seed,
 		Extra: fmt.Sprintf("bias=%d", laser.AttachBias),
 		Config: fp(struct {
 			V     vtune.Config
 			Cores int
 		}{vcfg, simCores}),
-		Version: runcache.CodeVersion(),
-	}, vcfg
-}
-
-// runVTune executes one workload under the VTune model, through the run
-// cache.
-func runVTune(name string, scale float64, seed int64) (*vtuneOutcome, error) {
-	key, vcfg := vtuneKey(name, scale, seed)
-	return runcache.Do(cache, key, func() (*vtuneOutcome, error) {
+	}
+	return key, func() (*vtuneOutcome, error) {
 		w, ok := workload.Get(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
@@ -428,21 +386,26 @@ func runVTune(name string, scale float64, seed int64) (*vtuneOutcome, error) {
 			return nil, err
 		}
 		return &vtuneOutcome{Lines: prof.Report(st.Seconds()), Stats: st, Seconds: st.Seconds()}, nil
-	})
+	}
 }
 
-// sheriffOutcome bundles a Sheriff run, either mode (exported fields:
-// the run cache persists it by value). Stats is nil for non-OK
-// statuses.
+// runVTune executes one workload under the VTune model, memoized.
+func runVTune(name string, scale float64, seed int64) (*vtuneOutcome, error) {
+	return recall(vtuneJob(name, scale, seed))
+}
+
+// sheriffOutcome bundles a Sheriff run, either mode. Stats is nil for
+// non-OK statuses.
 type sheriffOutcome struct {
 	Status   sheriff.Status
 	Findings []sheriff.Finding
 	Stats    *machine.Stats
 }
 
-// sheriffKey builds the cache key of one Sheriff run.
-func sheriffKey(name string, scale float64, mode sheriff.Mode, force bool) runcache.Key {
-	return runcache.Key{
+// sheriffJob is one run under the Sheriff execution model, gate
+// ignored (runSheriff applies it).
+func sheriffJob(name string, scale float64, mode sheriff.Mode, force bool) (Key, func() (*sheriffOutcome, error)) {
+	key := Key{
 		Tool: "sheriff", Workload: name, Scale: scale,
 		Extra: fmt.Sprintf("mode=%d force=%t", mode, force),
 		Config: fp(struct {
@@ -450,24 +413,12 @@ func sheriffKey(name string, scale float64, mode sheriff.Mode, force bool) runca
 			Cores     int
 			MaxCycles uint64
 		}{sheriff.DefaultConfig(), simCores, 1 << 38}),
-		Version: runcache.CodeVersion(),
 	}
-}
-
-// runSheriff executes one workload under the Sheriff execution model,
-// through the run cache. Gated workloads return their status without
-// running (or caching), unless force is set (the Figure 14 simlarge
-// runs).
-func runSheriff(name string, scale float64, mode sheriff.Mode, force bool) (*sheriffOutcome, error) {
-	w, ok := workload.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-	if w.Sheriff != sheriff.OK && !force {
-		return &sheriffOutcome{Status: w.Sheriff}, nil
-	}
-	key := sheriffKey(name, scale, mode, force)
-	return runcache.Do(cache, key, func() (*sheriffOutcome, error) {
+	return key, func() (*sheriffOutcome, error) {
+		w, ok := workload.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown workload %q", name)
+		}
 		img := w.Build(workload.Options{Scale: scale})
 		det := sheriff.NewDetector(mode, sheriff.DefaultConfig(), img.ResolveLine)
 		m := machine.New(img.Prog, machine.Config{
@@ -481,7 +432,21 @@ func runSheriff(name string, scale float64, mode sheriff.Mode, force bool) (*she
 			return &sheriffOutcome{Status: sheriff.Crash}, nil
 		}
 		return &sheriffOutcome{Status: sheriff.OK, Findings: det.Findings(), Stats: st}, nil
-	})
+	}
+}
+
+// runSheriff executes one workload under the Sheriff execution model,
+// memoized. Gated workloads return their status without running (or
+// memoizing), unless force is set (the Figure 14 simlarge runs).
+func runSheriff(name string, scale float64, mode sheriff.Mode, force bool) (*sheriffOutcome, error) {
+	w, ok := workload.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q", name)
+	}
+	if w.Sheriff != sheriff.OK && !force {
+		return &sheriffOutcome{Status: w.Sheriff}, nil
+	}
+	return recall(sheriffJob(name, scale, mode, force))
 }
 
 // normalizedRuntime runs a configuration Runs times (varying the sampling

@@ -135,10 +135,10 @@ func TestNativeRunCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("second native run was not served from the cache")
+		t.Error("second native run was not served from the memo")
 	}
 	if a.Cycles == 0 {
-		t.Error("cached native run has zero cycles")
+		t.Error("memoized native run has zero cycles")
 	}
 	if _, err := runNative("no_such_workload", 1, 0); err == nil {
 		t.Error("unknown workload did not error")

@@ -4,28 +4,36 @@ import (
 	"fmt"
 
 	"repro/internal/baseline/sheriff"
-	"repro/internal/runcache"
 	"repro/internal/workload"
 )
 
 // The experiment registry: every experiment of the evaluation is a
-// declarative Spec — Enumerate lists the cacheable simulations (work
+// declarative Spec — Enumerate lists the memoized simulations (work
 // units) the experiment needs, and Assemble renders its artifacts from
-// the run cache. The executor (executor.go) owns the run loop end to
+// the run memo. The executor (executor.go) owns the run loop end to
 // end: it executes each selected spec's units on the worker pool
-// (deduplicated across experiments by cache key), accounts per-unit
-// cache hits and simulations, and only then asks the spec to assemble —
-// so a warmed cache assembles every figure without simulating a single
-// workload. A runner and its unit list live in one file, and the
-// registry completeness test pins Enumerate against covering less than
-// Assemble consumes.
+// (deduplicated across experiments by key), accounts per-unit memo
+// hits and simulations, and only then asks the spec to assemble, so
+// assembly itself simulates nothing. A runner and its unit list live
+// in one file, and TestRegistryRoundTrip fails a spec whose Enumerate
+// covers less than its Assemble consumes.
 
-// WorkUnit is one cacheable simulation of the evaluation.
+// WorkUnit is one memoized simulation of the evaluation.
 type WorkUnit struct {
-	Key   runcache.Key
+	Key   Key
 	Label string
-	// Run computes the unit (through the run cache).
-	Run func() error
+	// Run computes the unit through the run memo and reports whether
+	// it simulated (false: the memo already held the result).
+	Run func() (computed bool, err error)
+}
+
+// unit wraps a job (a key and its computation, see harness.go) as a
+// work unit.
+func unit[T any](key Key, compute func() (T, error)) WorkUnit {
+	return WorkUnit{Key: key, Run: func() (bool, error) {
+		_, computed, err := memoize(runMemo, key, compute)
+		return computed, err
+	}}
 }
 
 // Artifact is one named rendered output of an experiment.
@@ -54,11 +62,11 @@ type Spec struct {
 	// measurement renders tab1, tab2 and fig9 from one set of runs.
 	Artifacts []string
 	// Enumerate lists the experiment's work units at this configuration.
-	// It must be a pure function of cfg: a warm run over a cache another
-	// process filled must derive the same keys.
+	// It must be a pure function of cfg, listing every key Assemble
+	// reads.
 	Enumerate func(cfg Config) []WorkUnit
 	// Assemble renders the artifacts. Under the executor every unit has
-	// been executed first, so Assemble is pure cache assembly; called
+	// been executed first, so Assemble only reads the memo; called
 	// directly (tests, the bench harness) it simulates misses itself.
 	Assemble func(cfg Config) (*Rendered, error)
 }
@@ -102,62 +110,55 @@ func validateRegistry() {
 
 func init() { validateRegistry() }
 
-// unitSet accumulates a spec's work units, deduplicated by cache key —
+// unitSet accumulates a spec's work units, deduplicated by key —
 // e.g. every seed of a figure that normalizes against one native
 // baseline contributes that baseline once. The typed add methods attach
 // the canonical label.
 type unitSet struct {
 	units []WorkUnit
-	seen  map[string]bool
+	seen  map[Key]bool
 }
 
 func newUnitSet() *unitSet {
-	return &unitSet{seen: make(map[string]bool)}
+	return &unitSet{seen: make(map[Key]bool)}
 }
 
-func (u *unitSet) add(key runcache.Key, label string, run func() error) {
-	if id := key.ID(); !u.seen[id] {
-		u.seen[id] = true
-		u.units = append(u.units, WorkUnit{Key: key, Label: label, Run: run})
+func (u *unitSet) add(w WorkUnit, label string) {
+	if !u.seen[w.Key] {
+		u.seen[w.Key] = true
+		w.Label = label
+		u.units = append(u.units, w)
 	}
 }
 
 func (u *unitSet) native(name string, scale float64, v workload.Variant) {
-	u.add(nativeKey(name, scale, v), fmt.Sprintf("native/%s@%g/v%d", name, scale, v),
-		func() error { _, err := runNative(name, scale, v); return err })
+	u.add(unit(nativeJob(name, scale, v)), fmt.Sprintf("native/%s@%g/v%d", name, scale, v))
 }
 
 func (u *unitSet) laser(name string, scale float64, repairOn, spec bool, sav int, seed int64) {
-	key, _ := laserKey(name, scale, repairOn, spec, sav, seed)
 	label := fmt.Sprintf("laser/%s@%g/repair=%t/sav%d/seed%d", name, scale, repairOn, sav, seed)
 	if spec && repairOn {
 		label += "/spec"
 	}
-	u.add(key, label,
-		func() error { _, err := runLaser(name, scale, repairOn, spec, sav, seed); return err })
+	u.add(unit(laserJob(name, scale, repairOn, spec, sav, seed)), label)
 }
 
 func (u *unitSet) laserProbe(name string, scale float64, sav int, seed int64) {
-	key, _ := laserProbeKey(name, scale, sav, seed)
-	u.add(key, fmt.Sprintf("laser/%s@%g/probe/sav%d/seed%d", name, scale, sav, seed),
-		func() error { _, err := runLaserProbe(name, scale, sav, seed); return err })
+	u.add(unit(laserProbeJob(name, scale, sav, seed)), fmt.Sprintf("laser/%s@%g/probe/sav%d/seed%d", name, scale, sav, seed))
 }
 
 func (u *unitSet) vtune(name string, scale float64, seed int64) {
-	key, _ := vtuneKey(name, scale, seed)
-	u.add(key, fmt.Sprintf("vtune/%s@%g/seed%d", name, scale, seed),
-		func() error { _, err := runVTune(name, scale, seed); return err })
+	u.add(unit(vtuneJob(name, scale, seed)), fmt.Sprintf("vtune/%s@%g/seed%d", name, scale, seed))
 }
 
+// sheriff adds a Sheriff run; callers enumerate only runs that pass
+// runSheriff's gate.
 func (u *unitSet) sheriff(name string, scale float64, mode sheriff.Mode, force bool) {
-	u.add(sheriffKey(name, scale, mode, force), fmt.Sprintf("sheriff/%s@%g/mode%d", name, scale, mode),
-		func() error { _, err := runSheriff(name, scale, mode, force); return err })
+	u.add(unit(sheriffJob(name, scale, mode, force)), fmt.Sprintf("sheriff/%s@%g/mode%d", name, scale, mode))
 }
 
 func (u *unitSet) char(cat CharCategory, variant int) {
-	key, _ := charKey(cat, variant)
-	u.add(key, fmt.Sprintf("char/%s/%d", cat, variant),
-		func() error { _, err := runCharCase(cat, variant); return err })
+	u.add(unit(charJob(cat, variant)), fmt.Sprintf("char/%s/%d", cat, variant))
 }
 
 // runsOf clamps cfg.Runs like every runner does.

@@ -42,100 +42,92 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
-// The registry completeness contract: for every spec, Enumerate covers
-// everything Assemble consumes. Each spec's direct (standalone) run is
-// the reference; the executor must produce byte-identical artifacts
-// both cold and — after only the enumerated units were persisted — from
-// a warm cache without simulating anything.
+// smallConfig keeps the full-registry tests to a few seconds while
+// still running every simulated tool flavor.
+func smallConfig() Config {
+	return Config{AccuracyScale: 2, PerfScale: 0.3, Runs: 1}
+}
+
+// The registry completeness contract: for every spec, Enumerate lists
+// exactly the keys Assemble consumes. Each spec's direct (standalone)
+// run is the reference: it must read exactly the enumerated keys, and
+// the executor must produce byte-identical artifacts with per-spec
+// accounting that adds up to every simulation the memo ran. In the
+// executor, a spec whose Assemble reads a key no spec enumerated
+// simulates it during assembly, outside every spec's Simulated count.
 func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
-		t.Skip("triple full-registry evaluation; skipped in the reduced-scale race run")
+		t.Skip("double full-registry evaluation; skipped in the reduced-scale race run")
 	}
-	cfg := cacheTestConfig()
-	t.Cleanup(resetCache)
+	cfg := smallConfig()
+	t.Cleanup(resetRunMemo)
 
 	// Direct references: each spec assembles standalone on a fresh
-	// in-memory cache, simulating its own misses — the pre-registry
-	// runner behaviour.
+	// memo, simulating its own misses — the pre-registry runner
+	// behaviour — and the memo then holds exactly the keys it read.
 	direct := map[string]*Rendered{}
 	for _, spec := range Specs() {
-		resetCache()
+		resetRunMemo()
 		r, err := spec.Assemble(cfg)
 		if err != nil {
 			t.Fatalf("%s: direct assemble: %v", spec.Name, err)
 		}
 		direct[spec.Name] = r
-	}
-
-	compare := func(pass string, results []SpecResult) {
-		if len(results) != len(Specs()) {
-			t.Fatalf("%s: executed %d specs, want %d", pass, len(results), len(Specs()))
+		enumerated := map[Key]bool{}
+		for _, u := range spec.Enumerate(cfg) {
+			enumerated[u.Key] = true
 		}
-		for _, res := range results {
-			want := direct[res.Spec.Name]
-			if !reflect.DeepEqual(res.Rendered.Artifacts, want.Artifacts) {
-				t.Errorf("%s: %s artifacts differ from the direct run:\n%+v\nvs\n%+v",
-					pass, res.Spec.Name, res.Rendered.Artifacts, want.Artifacts)
+		for k := range runMemo.flights {
+			if !enumerated[k] {
+				t.Errorf("%s: Assemble reads %s, which Enumerate omits", spec.Name, k)
 			}
-			if !reflect.DeepEqual(res.Rendered.Metrics, want.Metrics) {
-				t.Errorf("%s: %s metrics differ: %v vs %v",
-					pass, res.Spec.Name, res.Rendered.Metrics, want.Metrics)
-			}
-			if res.Units != res.Simulated+res.CacheHits {
-				t.Errorf("%s: %s accounting broken: %d units != %d simulated + %d hits",
-					pass, res.Spec.Name, res.Units, res.Simulated, res.CacheHits)
-			}
+			delete(enumerated, k)
+		}
+		for k := range enumerated {
+			t.Errorf("%s: Enumerate lists %s, which Assemble never reads", spec.Name, k)
 		}
 	}
-	all := func(string) bool { return true }
 
-	// Executor, cold, against a persistent directory.
-	dir := t.TempDir()
-	resetCache()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	cold, coldSum, err := Run(cfg, all, RunOptions{})
+	resetRunMemo()
+	results, sum, err := Run(cfg, func(string) bool { return true }, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !coldSum.Empty() {
-		t.Fatalf("cold run reported failures: %s", coldSum)
+	if !sum.Empty() {
+		t.Fatalf("run reported failures: %s", sum)
 	}
-	compare("cold", cold)
-
-	// Executor, warm: a fresh in-memory layer over the same directory.
-	// Every spec must assemble from cache hits alone — a single
-	// simulation means its Enumerate misses a unit its Assemble needs.
-	resetCache()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
+	if len(results) != len(Specs()) {
+		t.Fatalf("executed %d specs, want %d", len(results), len(Specs()))
 	}
-	warm, warmSum, err := Run(cfg, all, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warmSum.Empty() {
-		t.Fatalf("warm run reported failures: %s", warmSum)
-	}
-	compare("warm", warm)
-	for _, res := range warm {
-		if res.Simulated != 0 || !res.Warm {
-			t.Errorf("warm: %s simulated %d of %d units — Enumerate does not cover Assemble",
-				res.Spec.Name, res.Simulated, res.Units)
+	simulated := 0
+	for _, res := range results {
+		want := direct[res.Spec.Name]
+		if !reflect.DeepEqual(res.Rendered.Artifacts, want.Artifacts) {
+			t.Errorf("%s artifacts differ from the direct run:\n%+v\nvs\n%+v",
+				res.Spec.Name, res.Rendered.Artifacts, want.Artifacts)
 		}
+		if !reflect.DeepEqual(res.Rendered.Metrics, want.Metrics) {
+			t.Errorf("%s metrics differ: %v vs %v", res.Spec.Name, res.Rendered.Metrics, want.Metrics)
+		}
+		if res.Units != res.Simulated+res.CacheHits {
+			t.Errorf("%s accounting broken: %d units != %d simulated + %d hits",
+				res.Spec.Name, res.Units, res.Simulated, res.CacheHits)
+		}
+		simulated += res.Simulated
 	}
-	if st := CacheStats(); st.Computes != 0 {
-		t.Errorf("warm executor pass simulated %d units (stats %+v)", st.Computes, st)
+	// Nothing failed, so the memo holds one result per simulation.
+	if computes := len(runMemo.flights); computes != simulated {
+		t.Errorf("the memo ran %d simulations, the specs' units %d: an Assemble simulated a unit no spec enumerates",
+			computes, simulated)
 	}
 }
 
 // The executor's cross-experiment dedup: a unit two specs share is
-// simulated once and reported as a cache hit by the later spec.
+// simulated once and reported as a hit by the later spec.
 func TestExecutorCrossSpecDedup(t *testing.T) {
-	resetCache()
-	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	resetRunMemo()
+	t.Cleanup(resetRunMemo)
+	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig11" || e == "fig12" }
 	results, sum, err := Run(cfg, want, RunOptions{})
 	if err != nil {
@@ -154,11 +146,10 @@ func TestExecutorCrossSpecDedup(t *testing.T) {
 	// fig12 re-reads natives fig11 already computed (dedup,
 	// linear_regression, ...): it must report hits, not simulations.
 	if fig12.CacheHits == 0 {
-		t.Errorf("fig12 reported no cross-spec cache hits: %+v", fig12)
+		t.Errorf("fig12 reported no cross-spec hits: %+v", fig12)
 	}
-	total := CacheStats()
-	if int(total.Computes) != fig11.Simulated+fig12.Simulated {
-		t.Errorf("executor accounting (%d+%d) disagrees with the cache (%d computes)",
-			fig11.Simulated, fig12.Simulated, total.Computes)
+	if computes := len(runMemo.flights); computes != fig11.Simulated+fig12.Simulated {
+		t.Errorf("executor accounting (%d+%d) disagrees with the memo (%d computes)",
+			fig11.Simulated, fig12.Simulated, computes)
 	}
 }

@@ -1,10 +1,11 @@
 // Package faultinject is a deterministic fault-injection layer for the
 // evaluation's chaos tests. A seeded fault plan — parsed from the
-// LASER_FAULT_PLAN environment variable or the laserbench -fault-plan
-// flag — names injection points in the executor and the run cache and
-// fires faults at them: panics inside a work unit, I/O errors or
-// corrupted bytes on cache reads, lost cache writes, and stalls that
-// push a unit past its deadline.
+// LASER_FAULT_PLAN environment variable (laserbench and laserd) or the
+// laserbench -fault-plan flag — names injection points in the
+// evaluation's executor and laserd's session journal and fires faults
+// at them: panics inside a work unit, injected errors, stalls that push
+// a unit past its deadline, failed journal writes and truncated
+// checkpoint reads.
 //
 // Every decision is a pure function of (plan seed, point name, site
 // key, attempt number): no call counters shared across goroutines, no
@@ -14,12 +15,12 @@
 // replayed exactly by re-running with the printed plan string.
 //
 // With no plan enabled, every helper is a single atomic pointer load
-// and a nil check; the executor and cache hot paths pay nothing
+// and a nil check; the executor and journal hot paths pay nothing
 // measurable.
 //
 // Plan syntax (see Parse):
 //
-//	seed=42;unit.panic:p=0.05,attempts=1;cache.read.corrupt:p=0.3;unit.stall:p=1,attempts=1,delay=2s,match=native/histogram@
+//	seed=42;unit.panic:p=0.05,attempts=1;unit.err:p=0.3;unit.stall:p=1,attempts=1,delay=2s,match=native/histogram@
 package faultinject
 
 import (
@@ -33,9 +34,9 @@ import (
 )
 
 // The registered injection points. Sites pass their own stable key: the
-// executor passes the work unit's label, the run cache the entry key's
-// canonical rendering — both contain the workload and tool name, so a
-// rule's match= substring selects faults by either spelling.
+// executor passes the work unit's label, which contains the tool and
+// workload name, and the journal passes the session id; a rule's
+// match= substring selects faults by it.
 const (
 	// PointUnitPanic panics at the start of a work-unit attempt.
 	PointUnitPanic = "unit.panic"
@@ -45,16 +46,6 @@ const (
 	// attempt then fails with an injected stall error; the executor's
 	// deadline normally preempts it first).
 	PointUnitStall = "unit.stall"
-	// PointCacheReadErr fails a persisted-entry read as if the I/O
-	// errored: the store treats it as a miss and recomputes.
-	PointCacheReadErr = "cache.read.err"
-	// PointCacheReadCorrupt truncates the bytes read from a persisted
-	// entry mid-read: the store's checksum rejects them, drops the
-	// entry and recomputes.
-	PointCacheReadCorrupt = "cache.read.corrupt"
-	// PointCacheWriteErr loses a persisted-entry write: the store
-	// counts a write error and serves the result from memory only.
-	PointCacheWriteErr = "cache.write.err"
 	// PointStateWriteErr fails a session-journal write (checkpoint or
 	// frame-log append) in the durable-session store; the session keeps
 	// running and retries at the next cadence. Keyed by session id.
@@ -173,9 +164,6 @@ var knownPoints = map[string]bool{
 	PointUnitPanic:        true,
 	PointUnitErr:          true,
 	PointUnitStall:        true,
-	PointCacheReadErr:     true,
-	PointCacheReadCorrupt: true,
-	PointCacheWriteErr:    true,
 	PointStateWriteErr:    true,
 	PointStateReadCorrupt: true,
 }
@@ -286,9 +274,9 @@ func Stall(point, key string, attempt int) error {
 }
 
 // Corrupt truncates data mid-read when (point, key) fires — the
-// injected counterpart of a torn or half-written entry. Attempt is
-// keyed at 1: corruption is detected and recomputed within one read,
-// so per-attempt transience is meaningless at this point.
+// injected counterpart of a torn or half-written file. Attempt is keyed
+// at 1: a read has no retries, so per-attempt transience is
+// meaningless at this point.
 func Corrupt(point, key string, data []byte) []byte {
 	if _, ok := Check(point, key, 1); ok {
 		return data[:len(data)/2]

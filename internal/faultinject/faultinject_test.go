@@ -7,7 +7,7 @@ import (
 )
 
 func TestParse(t *testing.T) {
-	p, err := Parse("seed=42;unit.panic:p=0.5,attempts=1;cache.read.corrupt;unit.stall:p=1,delay=150ms,match=native/histogram@")
+	p, err := Parse("seed=42;unit.panic:p=0.5,attempts=1;state.read.corrupt;unit.stall:p=1,delay=150ms,match=native/histogram@")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestParse(t *testing.T) {
 	}
 	want := []Fault{
 		{Point: PointUnitPanic, Prob: 0.5, Attempts: 1},
-		{Point: PointCacheReadCorrupt, Prob: 1},
+		{Point: PointStateReadCorrupt, Prob: 1},
 		{Point: PointUnitStall, Prob: 1, Delay: 150 * time.Millisecond, Match: "native/histogram@"},
 	}
 	for i, w := range want {
@@ -36,6 +36,9 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"seed=x;unit.panic",
 		"unit.panik",
+		"cache.read.corrupt", // the run cache's points are gone
+		"cache.read.err",
+		"cache.write.err",
 		"unit.panic:p=1.5",
 		"unit.panic:p",
 		"unit.panic:attempts=-1",
@@ -53,7 +56,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 // attempt) regardless of call order or repetition: replayability is the
 // whole point.
 func TestDecisionsDeterministic(t *testing.T) {
-	p, err := Parse("seed=9;unit.panic:p=0.4;cache.read.err:p=0.4")
+	p, err := Parse("seed=9;unit.panic:p=0.4;state.write.err:p=0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestDecisionsDeterministic(t *testing.T) {
 	// on exactly the same key set.
 	same := true
 	for _, k := range keys {
-		_, ok := p.decide(PointCacheReadErr, k, 1)
+		_, ok := p.decide(PointStateWriteErr, k, 1)
 		if ok != first[k] {
 			same = false
 		}
@@ -141,11 +144,11 @@ func TestHelpersAndDisabledPath(t *testing.T) {
 		t.Fatalf("disabled Error = %v", err)
 	}
 	Panic(PointUnitPanic, "k", 1) // must not panic
-	if got := Corrupt(PointCacheReadCorrupt, "k", []byte("abcd")); string(got) != "abcd" {
+	if got := Corrupt(PointStateReadCorrupt, "k", []byte("abcd")); string(got) != "abcd" {
 		t.Fatalf("disabled Corrupt rewrote data: %q", got)
 	}
 
-	p, err := Parse("seed=1;unit.panic:p=1;unit.err:p=1;unit.stall:p=1,delay=1ms;cache.read.corrupt:p=1")
+	p, err := Parse("seed=1;unit.panic:p=1;unit.err:p=1;unit.stall:p=1,delay=1ms;state.read.corrupt:p=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestHelpersAndDisabledPath(t *testing.T) {
 	} else if time.Since(start) < time.Millisecond {
 		t.Error("Stall did not sleep")
 	}
-	if got := Corrupt(PointCacheReadCorrupt, "k", []byte("abcdefgh")); len(got) != 4 {
+	if got := Corrupt(PointStateReadCorrupt, "k", []byte("abcdefgh")); len(got) != 4 {
 		t.Errorf("Corrupt kept %d bytes, want truncation to 4", len(got))
 	}
 }
@@ -194,7 +197,7 @@ func TestPlanStringRoundTrip(t *testing.T) {
 }
 
 // The disabled fast path is one atomic pointer load — the cost the
-// executor and the run cache pay on every healthy run.
+// executor and the journal pay on every healthy run.
 func BenchmarkCheckDisabled(b *testing.B) {
 	Enable(nil)
 	for i := 0; i < b.N; i++ {

@@ -142,6 +142,64 @@ func runBoundaryProg() (*isa.Program, []ThreadSpec) {
 	return prog, specs
 }
 
+// privateMemProg cuts its register runs with private memory ops, so the
+// engine's segments take runSegment's load and store arms between
+// them: stack stores and loads through SP and through a register
+// derived from it (the stack never escapes, so it is private), loads
+// and stores in a heap range declared private to the thread, and one
+// shared store per outer iteration. words lists every private word the
+// program writes.
+func privateMemProg() (prog *isa.Program, specs []ThreadSpec, private [][]mem.Range, words [][]mem.Addr) {
+	const privSize = 8 * mem.LineSize
+	b := isa.NewBuilder().At("private.c", 1)
+	b.Func("worker")
+	b.Li(1, 0)
+	b.Label("top")
+	b.AddI(2, 2, 5)
+	b.Store(isa.SP, -8, 2, 8)
+	b.Load(4, isa.SP, -8, 8)
+	b.AluI(isa.And, 10, 1, 7)
+	b.AluI(isa.Shl, 10, 10, 6)
+	b.Alu(isa.Sub, 9, isa.SP, 10)
+	b.Store(9, -64, 4, 8)
+	b.IO(0)
+	b.Load(5, 9, -64, 4)
+	b.Add(5, 5, 1)
+	b.Store(3, 0, 5, 8)
+	b.IO(2)
+	b.Load(6, 3, 0, 8)
+	b.AddI(3, 3, 8)
+	b.AluI(isa.And, 11, 1, 15)
+	b.BranchI(isa.Ne, 11, 15, "skip")
+	b.AddI(3, 3, -16*8) // wrap back to the start of the private range
+	b.Label("skip")
+	b.Store(0, 0, 6, 8)
+	b.AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, 40, "top")
+	b.Halt()
+	prog = b.Build()
+	specs = make([]ThreadSpec, 3)
+	private = make([][]mem.Range, len(specs))
+	words = make([][]mem.Addr, len(specs))
+	for i := range specs {
+		base := mem.HeapBase + mem.Addr(i+1)*0x10000
+		private[i] = []mem.Range{{Start: base, End: base + privSize}}
+		specs[i] = ThreadSpec{Regs: map[isa.Reg]int64{
+			0: int64(mem.HeapBase + mem.Addr(i*8)),
+			2: int64(i),
+			3: int64(base),
+		}}
+		for a := base; a < base+privSize; a += 8 {
+			words[i] = append(words[i], a)
+		}
+		_, _, sp := mem.StackFor(i)
+		for a := sp - 64 - 7<<6; a < sp; a += 8 {
+			words[i] = append(words[i], a)
+		}
+	}
+	return prog, specs, private, words
+}
+
 // TestEngineRunBoundaries: the engine retires whole runs only when every
 // op of the run starts below the segment's bound, so a run cut by a
 // RunFor boundary at any cycle — including right before a zero-cost op —
@@ -149,9 +207,28 @@ func runBoundaryProg() (*isa.Program, []ThreadSpec) {
 // stride from 1 to 17 cycles puts the boundary at every offset inside
 // the program's runs; at each boundary the engine must agree with the
 // serial scheduler sliced the same way, and at the end with the serial
-// scheduler's uninterrupted run.
+// scheduler's uninterrupted run. The second program puts private loads
+// and stores between the runs, and its private memory is compared too.
 func TestEngineRunBoundaries(t *testing.T) {
-	prog, specs := runBoundaryProg()
+	regProg, regSpecs := runBoundaryProg()
+	memProg, memSpecs, private, words := privateMemProg()
+	for _, tc := range []struct {
+		name    string
+		prog    *isa.Program
+		specs   []ThreadSpec
+		private [][]mem.Range
+		words   [][]mem.Addr
+	}{
+		{"registers", regProg, regSpecs, nil, nil},
+		{"private memory", memProg, memSpecs, private, words},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRunBoundaries(t, tc.prog, tc.specs, tc.private, tc.words)
+		})
+	}
+}
+
+func checkRunBoundaries(t *testing.T, prog *isa.Program, specs []ThreadSpec, private [][]mem.Range, words [][]mem.Addr) {
 	same := func(m, ref *Machine) string {
 		if got, want := m.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
 			return fmt.Sprintf("stats %+v, want %+v", got, want)
@@ -166,10 +243,17 @@ func TestEngineRunBoundaries(t *testing.T) {
 				}
 			}
 		}
+		for tid, ws := range words {
+			for _, a := range ws {
+				if got, want := m.ReadData(a, 8), ref.ReadData(a, 8); got != want {
+					return fmt.Sprintf("thread %d word %#x = %d, want %d", tid, uint64(a), got, want)
+				}
+			}
+		}
 		return ""
 	}
 	for _, extra := range []uint64{0, 3} {
-		cfg := Config{Cores: len(specs), ExtraInstrCycles: extra}
+		cfg := Config{Cores: len(specs), ExtraInstrCycles: extra, PrivateData: private}
 		whole := New(prog, cfg, specs)
 		if _, err := whole.Run(); err != nil {
 			t.Fatal(err)

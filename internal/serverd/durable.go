@@ -34,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/runcache"
 	"repro/internal/statestore"
 	"repro/laser"
 )
@@ -112,7 +111,7 @@ func (h *hosted) checkpointLocked() {
 	}
 	meta := statestore.Meta{
 		ID:          h.id,
-		CodeVersion: runcache.CodeVersion(),
+		CodeVersion: statestore.CodeVersion(),
 		Fingerprint: h.fingerprint,
 		Events:      total,
 		State:       h.state.String(),
@@ -186,7 +185,7 @@ func (s *Server) recoverSession(id string) (*hosted, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if v := runcache.CodeVersion(); j.Meta.CodeVersion != v {
+	if v := statestore.CodeVersion(); j.Meta.CodeVersion != v {
 		return nil, false, fmt.Errorf("checkpoint from code version %q, daemon runs %q", j.Meta.CodeVersion, v)
 	}
 	var rec attachRecord

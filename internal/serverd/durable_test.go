@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/runcache"
 	"repro/internal/statestore"
 	"repro/laser"
 )
@@ -226,7 +225,7 @@ func TestDurableQuarantine(t *testing.T) {
 			if err := json.Unmarshal(lines[1], &meta); err != nil {
 				t.Fatal(err)
 			}
-			meta.CodeVersion = "s1-otherbuild"
+			meta.CodeVersion = "otherbuild"
 			doctored, err := json.Marshal(meta)
 			if err != nil {
 				t.Fatal(err)
@@ -370,8 +369,8 @@ func TestDurableCheckpointPinsCodeVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Meta.CodeVersion != runcache.CodeVersion() {
-		t.Fatalf("checkpoint pins %q, daemon runs %q", j.Meta.CodeVersion, runcache.CodeVersion())
+	if j.Meta.CodeVersion != statestore.CodeVersion() {
+		t.Fatalf("checkpoint pins %q, daemon runs %q", j.Meta.CodeVersion, statestore.CodeVersion())
 	}
 	if j.Meta.Fingerprint == "" {
 		t.Fatal("checkpoint has no config fingerprint")

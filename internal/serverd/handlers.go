@@ -11,7 +11,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/runcache"
+	"repro/internal/statestore"
 	"repro/laser"
 )
 
@@ -75,10 +75,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// versionInfo is the /version body: the same code-version string the
-// run-cache keys simulations by, plus the default configuration's
-// fingerprint, so a fleet can tell which laserd builds would share
-// cache entries and produce identical streams.
+// versionInfo is the /version body: the code-version string journals
+// are pinned to, plus the default configuration's fingerprint, so a
+// fleet can tell which laserd builds produce identical streams.
 type versionInfo struct {
 	CodeVersion        string `json:"code_version"`
 	ConfigFingerprint  string `json:"default_config_fingerprint"`
@@ -92,7 +91,7 @@ type versionInfo struct {
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, versionInfo{
-		CodeVersion:        runcache.CodeVersion(),
+		CodeVersion:        statestore.CodeVersion(),
 		ConfigFingerprint:  laser.DefaultConfig().Fingerprint(),
 		MaxSessions:        s.cfg.MaxSessions,
 		Workers:            s.cfg.Workers,

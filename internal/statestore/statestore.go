@@ -22,9 +22,8 @@
 // staging directory inside sessions/ and renamed into place together,
 // so a crash never leaves a session directory without its checkpoint.
 //
-// Checkpoints follow the run cache's discipline — written to a temp
-// file in the same directory and renamed into place, verified against
-// their checksum on read — so a crash at any instant leaves either the
+// Checkpoints are written to a temp file in the same directory and
+// renamed into place, and verified against their checksum on read, so a crash at any instant leaves either the
 // previous checkpoint or the new one, never a torn hybrid. The frame
 // log is append-only; a torn final record is the expected artifact of
 // a SIGKILL mid-append and is truncated away on read. The recovery
@@ -55,9 +54,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/faultinject"
 )
@@ -73,8 +74,8 @@ type Meta struct {
 	// ID is the hosted session id; recovery refuses a checkpoint whose
 	// header disagrees with the directory it sits in.
 	ID string `json:"id"`
-	// CodeVersion pins the simulator build (runcache.CodeVersion); a
-	// snapshot never restores across code versions.
+	// CodeVersion pins the simulator build (CodeVersion); a snapshot
+	// never restores across code versions.
 	CodeVersion string `json:"code_version"`
 	// Fingerprint pins the session's laser configuration.
 	Fingerprint string `json:"fingerprint"`
@@ -88,6 +89,43 @@ type Meta struct {
 	State   string `json:"state"`
 	Failure string `json:"failure,omitempty"`
 	Running bool   `json:"running,omitempty"`
+}
+
+// CodeVersion identifies the simulator build that journals are pinned
+// to: the VCS revision stamped into the binary, with "+dirty" for a
+// modified tree, else "dev" (builds without VCS stamping, notably `go
+// test` binaries and `go run`). A checkpoint's payload decodes only on
+// the build that wrote it.
+func CodeVersion() string {
+	versionOnce.Do(func() { version = resolveVersion() })
+	return version
+}
+
+var (
+	versionOnce sync.Once
+	version     string
+)
+
+func resolveVersion() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "dev"
+	}
+	var rev, dirty string
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "" {
+		return "dev"
+	}
+	return rev + dirty
 }
 
 // Journal is one session's loaded, validated journal.
@@ -177,8 +215,8 @@ func (s *Store) CreateSession(attach []byte, frames [][]byte, stamps []int64, me
 // publish fills a staging directory with a new journal's files and
 // renames it to the session's directory.
 func (s *Store) publish(stage, id string, attach []byte, frames [][]byte, stamps []int64, ckpt []byte) error {
-	// MkdirTemp makes the directory private; journals are world-readable
-	// like the run cache's entries.
+	// MkdirTemp makes the directory private; journals are
+	// world-readable.
 	if err := os.Chmod(stage, 0o755); err != nil {
 		return fmt.Errorf("statestore: %w", err)
 	}
@@ -462,7 +500,7 @@ func (s *Store) Quarantine(id string, reason error) error {
 }
 
 // atomicWrite writes name under dir via a same-directory temp file and
-// rename, world-readable like the run cache's entries.
+// rename, world-readable.
 func atomicWrite(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {

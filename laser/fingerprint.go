@@ -13,11 +13,12 @@ import (
 // fingerprints produce byte-identical runs of the same workload image.
 //
 // IntraRunParallelism is excluded: its output is byte-identical at any
-// worker count, so a cache entry computed under one engine
-// configuration is valid under every other.
+// worker count, so a result computed under one engine configuration is
+// valid under every other.
 //
-// The experiment harness uses the fingerprint as the configuration
-// component of its persistent run-cache keys.
+// laserd journals pin a session's configuration with it, and the
+// experiment harness uses it as the configuration component of its
+// in-process run keys.
 func (c Config) Fingerprint() string {
 	c.IntraRunParallelism = 0
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", c)))

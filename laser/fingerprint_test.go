@@ -17,16 +17,15 @@ func TestConfigFingerprint(t *testing.T) {
 		t.Error("poll-interval change not reflected in fingerprint")
 	}
 	// Intra-run parallelism is byte-identity-preserving and must be
-	// excluded: a cache entry computed serially serves parallel runs.
+	// excluded: a result computed serially serves parallel runs.
 	d := DefaultConfig()
 	d.IntraRunParallelism = 4
 	if a.Fingerprint() != d.Fingerprint() {
 		t.Error("intra-run parallelism leaked into the fingerprint")
 	}
 	// The fingerprint hashes the Config's %+v rendering, so adding,
-	// removing or renaming a field changes every fingerprint: persistent
-	// run-cache entries re-simulate and laserd journals written before
-	// the change are quarantined. Pin the default so such a change is a
+	// removing or renaming a field changes every fingerprint: laserd
+	// journals written before the change are quarantined. Pin the default so such a change is a
 	// deliberate edit here, not a side effect.
 	if got, want := a.Fingerprint(), "2020fe4840e587f1d6eae0c7"; got != want {
 		t.Errorf("DefaultConfig().Fingerprint() = %s, want %s (Config schema changed?)", got, want)

@@ -42,7 +42,7 @@ type Option func(*settings) error
 
 // WithConfig replaces the whole component configuration, for callers
 // that assemble a Config in bulk (the evaluation harness derives its
-// run-cache key from one). Later options apply on top. A non-zero
+// run keys from one). Later options apply on top. A non-zero
 // PollInterval is used as given (and as the base cadence for
 // WithAutoPollInterval); a zero one takes the default cadence and
 // remains eligible for Attach's bounded-run derivation. Every other
