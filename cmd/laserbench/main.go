@@ -6,34 +6,31 @@
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
 //	           [-ascale N] [-pscale N] [-runs N]
 //	           [-speculative-repair=true|false]
-//	           [-fault-plan SPEC] [-unit-retries N]
-//	           [-unit-deadline D] [-unit-backoff D]
+//	           [-fault-plan SPEC] [-unit-deadline D]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
-// Every experiment is a registered spec (enumerated work units plus an
-// assembly step that only reads their results); a single executor runs
-// the selected specs' units concurrently on every host core, simulating
-// each distinct unit once, and assembles each figure from the results.
-// Set LASER_BENCH_PARALLEL to pick the worker count (1 = fully serial).
-// The rendered output is byte-identical at any parallelism — only wall
-// time changes. Each experiment's stderr progress line reports how many
-// of its units it simulated and how many an earlier experiment already
-// had. -exp takes a comma-separated list of experiment or artifact
-// names, or "all"; any other entry is an error, as is a positional
-// argument, -runs below 1, a non-positive or non-finite -ascale/-pscale,
-// or a negative -unit-retries, -unit-deadline or -unit-backoff.
+// Every experiment is a registered spec that assembles its artifacts
+// from simulations read through one in-process memo, so a simulation
+// several figures share runs once; each figure fans its simulations out
+// on every host core. Set LASER_BENCH_PARALLEL to pick the worker count
+// (1 = fully serial). The rendered output is byte-identical at any
+// parallelism — only wall time changes. Each experiment's stderr
+// progress line reports how many simulations it ran that no earlier
+// experiment had. -exp takes a comma-separated list of experiment or
+// artifact names, or "all"; any other entry is an error, as is a
+// positional argument, -runs below 1, a non-positive or non-finite
+// -ascale/-pscale, or a negative -unit-deadline.
 //
 // -fault-plan SPEC (default $LASER_FAULT_PLAN) arms deterministic
 // fault injection for chaos runs: seeded injected panics, errors and
-// stalls per work-unit attempt, all a pure function of (seed, point,
-// site, attempt) so a plan replays identically at any parallelism. Units that fail retry with
-// exponential backoff under a per-attempt deadline (-unit-retries,
-// -unit-deadline, -unit-backoff tune the policy); units that
-// exhaust the budget are quarantined — their figure renders explicit
-// failure-marker rows, sibling figures render normally, and the
-// process exits non-zero with a one-line failure summary. See
-// EXPERIMENTS.md ("Chaos runs") and internal/faultinject for the plan
-// syntax.
+// stalls per simulation, each a pure function of (seed, point,
+// simulation key) so a plan replays identically at any parallelism.
+// Every simulation runs under -unit-deadline (default 30s), and its
+// failure is remembered for the rest of the run: each figure that
+// reads a failed simulation renders an explicit QUARANTINED marker
+// with the error, sibling figures render normally, and the process
+// exits non-zero with a one-line summary. See EXPERIMENTS.md ("Chaos
+// runs") and internal/faultinject for the plan syntax.
 //
 // -cpuprofile and -memprofile capture pprof profiles of the whole run;
 // see EXPERIMENTS.md for the profiling workflow.
@@ -56,14 +53,13 @@ import (
 
 // options holds laserbench's flags.
 type options struct {
-	exp                       string
-	ascale, pscale            float64
-	runs                      int
-	specRepair                bool
-	faultPlan                 string
-	unitRetries               int
-	unitDeadline, unitBackoff time.Duration
-	cpuprofile, memprofile    string
+	exp                    string
+	ascale, pscale         float64
+	runs                   int
+	specRepair             bool
+	faultPlan              string
+	unitDeadline           time.Duration
+	cpuprofile, memprofile string
 }
 
 // newFlags defines laserbench's flags on a fresh flag set.
@@ -76,9 +72,7 @@ func newFlags(handling flag.ErrorHandling) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.runs, "runs", 3, "runs per performance data point")
 	fs.BoolVar(&o.specRepair, "speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
 	fs.StringVar(&o.faultPlan, "fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
-	fs.IntVar(&o.unitRetries, "unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
-	fs.DurationVar(&o.unitDeadline, "unit-deadline", 0, "per-attempt work-unit deadline (0 = default 30s)")
-	fs.DurationVar(&o.unitBackoff, "unit-backoff", 0, "backoff before the first unit retry, doubling per attempt (0 = default 100ms)")
+	fs.DurationVar(&o.unitDeadline, "unit-deadline", 0, "deadline of every simulation (0 = default 30s)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
 	return fs, o
@@ -102,16 +96,8 @@ func (o *options) validate(args []string) error {
 			return fmt.Errorf("%s %g: want a positive finite scale", f.name, f.v)
 		}
 	}
-	if o.unitRetries < 0 {
-		return fmt.Errorf("-unit-retries %d: want 0 (default) or more", o.unitRetries)
-	}
-	for _, f := range []struct {
-		name string
-		v    time.Duration
-	}{{"-unit-deadline", o.unitDeadline}, {"-unit-backoff", o.unitBackoff}} {
-		if f.v < 0 {
-			return fmt.Errorf("%s %s: want 0 (default) or a positive duration", f.name, f.v)
-		}
+	if o.unitDeadline < 0 {
+		return fmt.Errorf("-unit-deadline %s: want 0 (default) or a positive duration", o.unitDeadline)
 	}
 	return nil
 }
@@ -169,10 +155,8 @@ func main() {
 	// far on the terminal. Quarantined specs stream explicit failure
 	// markers; the run keeps going and the exit status reports them.
 	runOpts := experiments.RunOptions{
-		Progress:    os.Stderr,
-		MaxAttempts: o.unitRetries,
-		Deadline:    o.unitDeadline,
-		BackoffBase: o.unitBackoff,
+		Progress: os.Stderr,
+		Deadline: o.unitDeadline,
 		OnSpec: func(res experiments.SpecResult) {
 			for _, a := range res.Rendered.Artifacts {
 				if all || want[a.Name] || want[res.Spec.Name] {
@@ -181,10 +165,7 @@ func main() {
 			}
 		},
 	}
-	results, sum, err := experiments.Run(cfg, func(e string) bool { return all || want[e] }, runOpts)
-	if err != nil {
-		fail(err)
-	}
+	results := experiments.Run(cfg, func(e string) bool { return all || want[e] }, runOpts)
 	if len(results) > 0 {
 		fmt.Fprintf(os.Stderr, "laserbench: %d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
 	}
@@ -200,14 +181,17 @@ func main() {
 			fail(err)
 		}
 	}
-	// Quarantined units: everything above still rendered (markers for
-	// the affected specs, real artifacts for the rest) — but the process
+	// Quarantined specs: everything above still rendered (markers for
+	// the failed specs, real artifacts for the rest) — but the process
 	// exit must not claim success.
-	if sum.Failed() {
-		fail(fmt.Errorf("FAILED: %s", sum))
+	var failed []string
+	for _, res := range results {
+		if res.Err != nil {
+			failed = append(failed, res.Spec.Name)
+		}
 	}
-	if !sum.Empty() {
-		fmt.Fprintf(os.Stderr, "laserbench: %s\n", sum)
+	if len(failed) > 0 {
+		fail(fmt.Errorf("FAILED: %d of %d experiments quarantined: %s", len(failed), len(results), strings.Join(failed, ", ")))
 	}
 }
 

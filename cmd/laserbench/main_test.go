@@ -55,7 +55,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{args: nil},
 		{args: []string{"-exp", "fig13", "-pscale", "0.3", "-runs", "1"}},
-		{args: []string{"-unit-retries", "0", "-unit-deadline", "0", "-unit-backoff", "0"}},
+		{args: []string{"-unit-deadline", "0"}},
 		{args: []string{"-exp", "fig3", "fig13"}, bad: `"fig13"`},
 		{args: []string{"-runs", "0"}, bad: "-runs"},
 		{args: []string{"-runs", "-2"}, bad: "-runs"},
@@ -64,9 +64,7 @@ func TestValidateFlags(t *testing.T) {
 		{args: []string{"-pscale", "-1"}, bad: "-pscale"},
 		{args: []string{"-pscale", "0"}, bad: "-pscale"},
 		{args: []string{"-pscale", "+Inf"}, bad: "-pscale"},
-		{args: []string{"-unit-retries", "-1"}, bad: "-unit-retries"},
 		{args: []string{"-unit-deadline", "-1s"}, bad: "-unit-deadline"},
-		{args: []string{"-unit-backoff", "-1ms"}, bad: "-unit-backoff"},
 	} {
 		fs, o := newFlags(flag.ContinueOnError)
 		if err := fs.Parse(tc.args); err != nil {
@@ -82,8 +80,12 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.bad)
 		}
 	}
-	// The run-cache flags are gone: the parser rejects them.
-	for _, args := range [][]string{{"-cache", "dir"}, {"-cache-gc", "720h"}} {
+	// The run-cache and retry-policy flags are gone: the parser rejects
+	// them.
+	for _, args := range [][]string{
+		{"-cache", "dir"}, {"-cache-gc", "720h"},
+		{"-unit-retries", "2"}, {"-unit-backoff", "10ms"},
+	} {
 		fs, _ := newFlags(flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if err := fs.Parse(args); err == nil {

@@ -57,10 +57,10 @@
 // "The decoded program".
 //
 // The experiment harness in internal/experiments is a registry of
-// declarative experiment specs: each figure enumerates its simulations
-// as work units and assembles its artifacts from an in-process memo of
-// their results, while a single executor fans the units out across all
-// host cores and deduplicates them across experiments (see DESIGN.md,
+// declarative experiment specs: each figure's runner fans its
+// simulations out across all host cores and reads them through an
+// in-process memo, which simulates each one once per process however
+// many figures share it and remembers its failures (see DESIGN.md,
 // "The experiment registry"). Each simulation runs on the serial engine.
 // LASER_BENCH_PARALLEL selects the pool worker count (default
 // GOMAXPROCS; 1 recovers the serial harness); results are assembled in

@@ -61,17 +61,6 @@ type AccuracyResult struct {
 var accuracySpec = &Spec{
 	Name:      "accuracy",
 	Artifacts: []string{"tab1", "tab2", "fig9"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		for _, name := range workloadNames() {
-			u.laser(name, cfg.AccuracyScale, false, false, laserSAV, 1)
-			u.vtune(name, cfg.AccuracyScale, 1)
-			if w, ok := workload.Get(name); ok && w.Sheriff == sheriff.OK {
-				u.sheriff(name, cfg.AccuracyScale, sheriff.Detect, false)
-			}
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		acc, err := RunAccuracy(cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,13 +9,13 @@ import (
 	"repro/internal/faultinject"
 )
 
-// The executor's chaos acceptance tests: under a transient fault plan
-// the evaluation retries its way to byte-identical artifacts; under a
-// permanent plan the affected spec degrades to quarantine markers while
-// siblings render normally.
+// The chaos acceptance tests: a simulation that fails — an injected
+// error, a stall past the deadline — fails every spec that reads it,
+// each rendering QUARANTINED markers, while sibling specs render
+// exactly as in a fault-free run.
 
 // enableFaults installs a plan for the test's duration.
-func enableFaults(t *testing.T, spec string) *faultinject.Plan {
+func enableFaults(t *testing.T, spec string) {
 	t.Helper()
 	plan, err := faultinject.Parse(spec)
 	if err != nil {
@@ -22,12 +23,6 @@ func enableFaults(t *testing.T, spec string) *faultinject.Plan {
 	}
 	faultinject.Enable(plan)
 	t.Cleanup(func() { faultinject.Enable(nil) })
-	return plan
-}
-
-// chaosOpts keeps retries fast in tests.
-func chaosOpts() RunOptions {
-	return RunOptions{BackoffBase: time.Millisecond}
 }
 
 // renderAll flattens a run's artifacts into one comparable string.
@@ -42,181 +37,131 @@ func renderAll(results []SpecResult) string {
 	return b.String()
 }
 
-// Transient faults — injected errors and panics bounded to the first
-// attempt — must be absorbed by the retry budget: same artifacts, byte
-// for byte, as a fault-free run, with the retries on the record.
-func TestRunTransientFaultsByteIdentical(t *testing.T) {
-	resetRunMemo()
-	t.Cleanup(resetRunMemo)
-	cfg := smallConfig()
-	want := func(e string) bool { return e == "fig3" }
-
-	clean, cleanSum, err := Run(cfg, want, chaosOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cleanSum.Empty() {
-		t.Fatalf("clean run reported failures: %s", cleanSum)
-	}
-
-	resetRunMemo()
-	// Half the units fail their first attempt with an injected error, a
-	// third panic on it; every fault is bounded to attempt 1, so the
-	// retry heals everything.
-	enableFaults(t, "seed=7;unit.err:p=0.5,attempts=1;unit.panic:p=0.3,attempts=1")
-	chaos, sum, err := Run(cfg, want, chaosOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Failed() {
-		t.Fatalf("transient faults quarantined units: %s", sum)
-	}
-	if len(sum.Recovered) == 0 {
-		t.Fatal("fault plan injected nothing — the chaos run tested nothing")
-	}
-	if got, wantTxt := renderAll(chaos), renderAll(clean); got != wantTxt {
-		t.Errorf("transient-fault artifacts differ from the clean run\nclean:\n%s\nchaos:\n%s", wantTxt, got)
-	}
-	for _, r := range sum.Recovered {
-		if r.Attempts < 2 {
-			t.Errorf("recovered unit %s reports %d attempts, want >= 2", r.Label, r.Attempts)
-		}
-		if len(r.Kinds) == 0 {
-			t.Errorf("recovered unit %s carries no fault kinds", r.Label)
-		}
-	}
-}
-
-// A permanent fault exhausts the retry budget: the unit is quarantined,
-// its spec renders explicit marker rows, sibling specs render normally,
-// and the summary names the quarantined keys.
+// A permanent fault fails its spec, which renders an explicit marker
+// naming the failed simulation; the sibling spec renders byte-identical
+// to a fault-free run.
 func TestRunPermanentFaultQuarantines(t *testing.T) {
 	resetRunMemo()
 	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" || e == "fig13" }
+	clean := Run(cfg, want, RunOptions{})
 
+	resetRunMemo()
 	// Permanently fail fig13's laser SAV sweep; fig3 (characterization
-	// units only) is untouched.
+	// cases only) is untouched.
 	enableFaults(t, "seed=1;unit.err:p=1,match=laser/dedup@")
-	opts := chaosOpts()
-	opts.MaxAttempts = 2
-	results, sum, err := Run(cfg, want, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Failed() {
-		t.Fatal("permanent fault did not quarantine")
-	}
+	results := Run(cfg, want, RunOptions{})
 	if len(results) != 2 {
 		t.Fatalf("got %d specs, want fig3+fig13", len(results))
 	}
 	fig3, fig13 := results[0], results[1]
-	if fig3.Failed() || strings.Contains(renderAll([]SpecResult{fig3}), "QUARANTINED") {
-		t.Error("fig3 was dragged down by fig13's failure")
+	if fig3.Err != nil || renderAll(results[:1]) != renderAll(clean[:1]) {
+		t.Errorf("fig3 was dragged down by fig13's failure (err %v):\n%s", fig3.Err, renderAll(results[:1]))
 	}
-	if !fig13.Failed() || fig13.FailedUnits == 0 {
-		t.Fatalf("fig13 not marked failed: %+v", fig13)
+	var inj *faultinject.InjectedError
+	if !errors.As(fig13.Err, &inj) || inj.Point != faultinject.PointUnitErr {
+		t.Fatalf("fig13 error %v, want the injected unit.err", fig13.Err)
 	}
-	txt := renderAll([]SpecResult{fig13})
-	if !strings.Contains(txt, "QUARANTINED") || !strings.Contains(txt, "unit failed (2 attempts):") {
-		t.Errorf("fig13 marker artifact missing the failure rows:\n%s", txt)
-	}
-	if len(sum.QuarantinedKeys()) != len(sum.Quarantined) || len(sum.Quarantined) == 0 {
-		t.Errorf("quarantined keys incomplete: %v", sum.QuarantinedKeys())
-	}
-	for _, f := range sum.Quarantined {
-		if f.Attempts != 2 || len(f.Kinds) != 2 {
-			t.Errorf("quarantined unit %s: attempts %d kinds %v, want 2 attempts", f.Label, f.Attempts, f.Kinds)
-		}
-		for _, k := range f.Kinds {
-			if k != "injected:unit.err" {
-				t.Errorf("fault kind %q, want injected:unit.err", k)
-			}
+	txt := renderAll(results[1:])
+	for _, s := range []string{"== fig13: QUARANTINED ==", "experiment fig13 failed:", "unit.err fired for laser/dedup@0.3/"} {
+		if !strings.Contains(txt, s) {
+			t.Errorf("fig13 marker artifact lacks %q:\n%s", s, txt)
 		}
 	}
 }
 
-// A stalled unit is preempted by its deadline, retried, and
-// recovers when the stall is bounded to the first attempt.
+// A stalled simulation is cut off by the deadline: its spec fails with
+// a timeout without waiting out the stall, and the sibling spec renders
+// normally.
 func TestRunDeadlinePreemptsStall(t *testing.T) {
 	resetRunMemo()
 	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
-	want := func(e string) bool { return e == "fig3" }
+	want := func(e string) bool { return e == "fig3" || e == "fig13" }
 
-	// One characterization unit stalls 30s on its first attempt; the
-	// shrunk deadline preempts it in ~250ms and the retry passes. The
-	// deadline applies to every unit, so it must stay well above a
-	// healthy characterization case's wall time under -race.
-	enableFaults(t, "seed=2;unit.stall:p=1,attempts=1,delay=30s,match=char/FSRW/0")
-	opts := chaosOpts()
-	opts.Deadline = 250 * time.Millisecond
+	// One characterization case stalls 30s; the shrunk deadline cuts it
+	// off in 250ms. The deadline applies to every simulation, so it must
+	// stay well above a healthy characterization case's wall time under
+	// -race.
+	enableFaults(t, "seed=2;unit.stall:p=1,delay=30s,match=char/FSRW/0")
 	start := time.Now()
-	_, sum, err := Run(cfg, want, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(cfg, want, RunOptions{Deadline: 250 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("deadline did not preempt the stall (run took %s)", elapsed)
 	}
-	if sum.Failed() {
-		t.Fatalf("stalled unit quarantined despite retry budget: %s", sum)
+	fig3, fig13 := results[0], results[1]
+	if fig3.Err == nil || !strings.Contains(fig3.Err.Error(), "char/FSRW/0/") ||
+		!strings.Contains(fig3.Err.Error(), "deadline exceeded (250ms)") {
+		t.Fatalf("fig3 error %v, want char/FSRW/0's deadline", fig3.Err)
 	}
-	var hit *UnitRetry
-	for i := range sum.Recovered {
-		if strings.Contains(sum.Recovered[i].Label, "char/FSRW/0") {
-			hit = &sum.Recovered[i]
-		}
+	if !strings.Contains(renderAll(results[:1]), "== fig3: QUARANTINED ==") {
+		t.Errorf("fig3 rendered no marker:\n%s", renderAll(results[:1]))
 	}
-	if hit == nil {
-		t.Fatalf("stalled unit not in recovered list: %+v", sum.Recovered)
-	}
-	if len(hit.Kinds) == 0 || hit.Kinds[0] != FaultTimeout {
-		t.Errorf("stall fault kinds = %v, want leading %q", hit.Kinds, FaultTimeout)
+	if fig13.Err != nil {
+		t.Errorf("fig13 failed: %v", fig13.Err)
 	}
 }
 
-// A later spec enumerating a key an earlier spec quarantined must not
-// re-retry it: the poisoned key fails the later spec immediately, with
-// the original failure's record.
+// A failed simulation stays failed for the rest of the process: a later
+// spec reading the key fails with the very same error, without
+// simulating it again.
 func TestQuarantinePoisonsLaterSpecs(t *testing.T) {
 	resetRunMemo()
 	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
-	// fig11 and fig12 share native baseline units (the cross-spec dedup
-	// pair TestExecutorCrossSpecDedup uses).
+	// fig11 and fig12 both read dedup's native baseline.
 	want := func(e string) bool { return e == "fig11" || e == "fig12" }
 
 	enableFaults(t, "seed=4;unit.err:p=1,match=native/dedup@")
-	opts := chaosOpts()
-	opts.MaxAttempts = 2
-	results, sum, err := Run(cfg, want, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(cfg, want, RunOptions{})
 	if len(results) != 2 {
 		t.Fatalf("got %d specs", len(results))
 	}
 	fig11, fig12 := results[0], results[1]
-	if !fig11.Failed() || !fig12.Failed() {
-		t.Fatalf("shared poisoned key must fail both specs: fig11 %v fig12 %v",
-			fig11.Failed(), fig12.Failed())
+	var first, later *faultinject.InjectedError
+	if !errors.As(fig11.Err, &first) || !errors.As(fig12.Err, &later) {
+		t.Fatalf("shared failed key must fail both specs: fig11 %v, fig12 %v", fig11.Err, fig12.Err)
 	}
-	// The key was retried by fig11 only; fig12 inherited the quarantine
-	// record, so the summary holds exactly one entry per poisoned key.
-	seen := map[string]int{}
-	for _, f := range sum.Quarantined {
-		seen[f.Key]++
+	// One flight, one error value: a re-simulation would have injected
+	// a fresh one.
+	if first != later {
+		t.Errorf("fig12 re-simulated the failed key: %v vs %v", first, later)
 	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Errorf("key %s quarantined %d times, want once", k, n)
+	if computes := runMemo.computeCount(); computes != fig11.Simulated+fig12.Simulated {
+		t.Errorf("per-spec counts (%d+%d) disagree with the memo (%d computes)",
+			fig11.Simulated, fig12.Simulated, computes)
+	}
+}
+
+// A renderer that panics inside a pool task degrades its spec to a
+// quarantine marker at any parallelism, instead of killing the process
+// from a pool goroutine.
+func TestPanickingRendererQuarantines(t *testing.T) {
+	saved := allSpecs
+	t.Cleanup(func() { allSpecs = saved })
+	allSpecs = []*Spec{{
+		Name:      "broken",
+		Artifacts: []string{"broken"},
+		Assemble: func(Config) (*Rendered, error) {
+			var rows []int
+			err := forEach(4, func(i int) error {
+				rows[i] = i // index out of range
+				return nil
+			})
+			return &Rendered{}, err
+		},
+	}}
+	for _, par := range []string{"1", "4"} {
+		t.Setenv("LASER_BENCH_PARALLEL", par)
+		results := Run(QuickConfig(), func(string) bool { return true }, RunOptions{})
+		var pe *panicError
+		if len(results) != 1 || !errors.As(results[0].Err, &pe) || len(pe.stack) == 0 {
+			t.Fatalf("parallelism %s: got %+v, want a recovered panic with its stack", par, results)
 		}
-	}
-	for _, f := range fig12.Failures {
-		if f.Spec != "fig11" {
-			t.Errorf("fig12's failure record should cite the original spec fig11, got %q", f.Spec)
+		if txt := renderAll(results); !strings.Contains(txt, "== broken: QUARANTINED ==") ||
+			!strings.Contains(txt, "task 0: panic: runtime error: index out of range") {
+			t.Errorf("parallelism %s: marker %q", par, txt)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -119,8 +120,7 @@ func buildCharCase(cat CharCategory, variant int) (*isa.Program, []machine.Threa
 // characterization.
 const charVariants = 40
 
-// charCategories lists the quadrants in evaluation order; the runner
-// and the spec's work-unit enumeration iterate the same slice.
+// charCategories lists the quadrants in evaluation order.
 var charCategories = []CharCategory{TSRW, FSRW, TSWW, FSWW}
 
 // fig3Spec declares Figure 3 to the experiment registry: 160
@@ -129,15 +129,6 @@ var charCategories = []CharCategory{TSRW, FSRW, TSWW, FSWW}
 var fig3Spec = &Spec{
 	Name:      "fig3",
 	Artifacts: []string{"fig3"},
-	Enumerate: func(Config) []WorkUnit {
-		u := newUnitSet()
-		for _, cat := range charCategories {
-			for variant := 0; variant < charVariants; variant++ {
-				u.char(cat, variant)
-			}
-		}
-		return u.units
-	},
 	Assemble: func(Config) (*Rendered, error) {
 		_, sums, err := RunFigure3()
 		if err != nil {
@@ -204,8 +195,8 @@ func charJob(cat CharCategory, variant int) (Key, func() (CharCase, error)) {
 	pcfg := pebs.Config{SAV: 1, BufferCap: 256, AssistCycles: 0,
 		Seed: int64(variant)*41 + charSeeds[cat]}
 	key := Key{
-		Tool: "char", Workload: string(cat), Seed: int64(variant),
-		SAV:    pcfg.SAV,
+		Tool: "char", Workload: string(cat), Variant: strconv.Itoa(variant),
+		SAV: pcfg.SAV, Seed: pcfg.Seed,
 		Config: fp(pcfg),
 	}
 	return key, func() (CharCase, error) { return simCharCase(cat, variant, pcfg) }

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,15 +111,25 @@ func fp(v any) string {
 
 // forEach runs fn(0)..fn(n-1) on the worker pool. Each index's results
 // must be written to that index's slot by fn; forEach returns the
-// lowest-index error so failures are deterministic too.
+// lowest-index error so failures are deterministic too. A task that
+// panics fails its index with the panic and its stack instead of
+// killing the process from a pool goroutine.
 func forEach(n int, fn func(i int) error) error {
+	run := func(i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &panicError{site: fmt.Sprintf("task %d", i), val: r, stack: debug.Stack()}
+			}
+		}()
+		return fn(i)
+	}
 	workers := Parallelism()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := run(i); err != nil {
 				return err
 			}
 		}
@@ -148,7 +159,7 @@ func forEach(n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if errs[i] = fn(i); errs[i] != nil {
+				if errs[i] = run(i); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -205,9 +216,7 @@ func (r *laserRun) RepairError() error {
 
 // Each simulation flavor below has a job: its Key and the computation
 // the key stands for. The figure runners recall a job through the memo
-// (runNative, runLaser, ...), and the work-unit enumeration wraps the
-// very same job as a unit (registry.go), so the executor fills exactly
-// the entries the runners will look up.
+// (runNative, runLaser, ...).
 
 // laserKey builds the key (and the exact configuration) of one
 // full-stack LASER run.

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // resetRunMemo drops every memoized run, so the next capture simulates
@@ -59,60 +61,76 @@ func TestMemoryHitMiss(t *testing.T) {
 	}
 }
 
-func TestErrorsNotMemoized(t *testing.T) {
+// A failing compute's error is memoized like a value: a deterministic
+// simulation fails the same way every time, so later calls read the
+// failure instead of computing again.
+func TestErrorsMemoized(t *testing.T) {
 	m := newMemo()
 	boom := errors.New("boom")
 	computes := 0
-	for i := 0; i < 2; i++ {
-		if _, _, err := memoize(m, memoKey(7), func() (*memoPayload, error) {
+	for i := 0; i < 3; i++ {
+		_, computed, err := memoize(m, memoKey(7), func() (*memoPayload, error) {
 			computes++
 			return nil, boom
-		}); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want boom", err)
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("call %d: err = %v, want boom", i, err)
+		}
+		if computed != (i == 0) {
+			t.Errorf("call %d: computed = %v", i, computed)
 		}
 	}
-	// A failed flight is dropped, not memoized: the second call must
-	// re-attempt (the executor's retry loop depends on it), and a
-	// successful retry heals the key.
-	if computes != 2 {
-		t.Errorf("failing compute ran %d times, want 2 (failures are not memoized)", computes)
-	}
-	if v, computed, err := memoize(m, memoKey(7), func() (*memoPayload, error) {
-		return memoValue(), nil
-	}); err != nil || !computed || v.Cycles != memoValue().Cycles {
-		t.Fatalf("retry after failures did not recompute: v=%+v computed=%v err=%v", v, computed, err)
-	}
-	if _, computed, _ := memoize(m, memoKey(7), func() (*memoPayload, error) {
-		return nil, boom
-	}); computed {
-		t.Error("healed key computed again")
+	if computes != 1 || m.computeCount() != 1 {
+		t.Errorf("failing compute ran %d times (memo counts %d), want 1", computes, m.computeCount())
 	}
 }
 
-// A panicking compute re-raises to its caller but neither poisons the
-// key (retry recomputes) nor tears concurrent waiters (they share an
-// error instead of a zero value).
-func TestPanickingComputeNotMemoized(t *testing.T) {
+// A panicking compute becomes its flight's error: the caller gets an
+// error carrying the panic and its stack, not a re-raised panic, and
+// later calls read the same error.
+func TestPanickingComputeMemoized(t *testing.T) {
 	m := newMemo()
 	panics := 0
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic was swallowed by memoize")
-			}
-		}()
-		memoize(m, memoKey(3), func() (*memoPayload, error) {
+	var first error
+	for i := 0; i < 2; i++ {
+		_, _, err := memoize(m, memoKey(3), func() (*memoPayload, error) {
 			panics++
 			panic("injected")
 		})
-	}()
-	if v, _, err := memoize(m, memoKey(3), func() (*memoPayload, error) {
-		return memoValue(), nil
-	}); err != nil || v.Cycles != memoValue().Cycles {
-		t.Fatalf("retry after panic: v=%+v err=%v", v, err)
+		var pe *panicError
+		if !errors.As(err, &pe) || pe.val != "injected" || len(pe.stack) == 0 {
+			t.Fatalf("call %d: err = %v, want the recovered panic", i, err)
+		}
+		if i == 0 {
+			first = err
+		} else if err != first {
+			t.Errorf("second call got a new error %v", err)
+		}
 	}
 	if panics != 1 {
 		t.Errorf("panicking compute ran %d times, want 1", panics)
+	}
+}
+
+// A compute that outlives the memo's deadline fails its flight with a
+// timeout naming the key, and the timeout is memoized.
+func TestFlightDeadline(t *testing.T) {
+	m := newMemo()
+	m.setDeadline(20 * time.Millisecond)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	for i := 0; i < 2; i++ {
+		_, _, err := memoize(m, memoKey(5), func() (*memoPayload, error) {
+			<-release
+			return memoValue(), nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadline exceeded (20ms)") ||
+			!strings.Contains(err.Error(), memoKey(5).String()) {
+			t.Fatalf("call %d: err = %v, want the key's deadline", i, err)
+		}
+	}
+	if m.computeCount() != 1 {
+		t.Errorf("timed-out key computed %d times, want 1", m.computeCount())
 	}
 }
 

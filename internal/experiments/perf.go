@@ -24,17 +24,6 @@ type Fig10Row struct {
 var fig10Spec = &Spec{
 	Name:      "fig10",
 	Artifacts: []string{"fig10"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		for _, name := range workloadNames() {
-			u.native(name, cfg.PerfScale, workload.Native)
-			for seed := 1; seed <= runsOf(cfg); seed++ {
-				u.laser(name, cfg.PerfScale, true, false, laserSAV, int64(seed))
-				u.vtune(name, cfg.PerfScale, int64(seed))
-			}
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		rows, err := RunFigure10(cfg)
 		if err != nil {
@@ -150,25 +139,6 @@ type Fig11Row struct {
 var fig11Spec = &Spec{
 	Name:      "fig11",
 	Artifacts: []string{"fig11"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		for _, name := range fig11AutoSet {
-			u.native(name, cfg.PerfScale, workload.Native)
-			for seed := 1; seed <= runsOf(cfg); seed++ {
-				u.laser(name, cfg.PerfScale, true, cfg.SpeculativeRepair, laserSAV, int64(seed))
-			}
-		}
-		for _, name := range fig11ManualSet {
-			u.native(name, cfg.PerfScale, workload.Native)
-			u.native(name, cfg.PerfScale, workload.Fixed)
-		}
-		if cfg.SpeculativeRepair {
-			for _, name := range fig11TrialBacked {
-				u.laserProbe(name, cfg.PerfScale, laserSAV, 1)
-			}
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		rows, err := RunFigure11(cfg)
 		if err != nil {
@@ -235,7 +205,7 @@ func RunFigure11(cfg Config) ([]Fig11Row, error) {
 		// speculative repair run races the candidate slate against the
 		// no-op baseline, and a measured decline turns "fix did not beat
 		// native" from an assertion into trial numbers.
-		if cfg.SpeculativeRepair && fig11TrialBackedSet()[name] {
+		if cfg.SpeculativeRepair && fig11TrialBacked[name] {
 			res, err := runLaserProbe(name, cfg.PerfScale, laserSAV, 1)
 			if err != nil {
 				return fmt.Errorf("fig11 manual %s trials: %w", name, err)
@@ -254,25 +224,15 @@ func RunFigure11(cfg Config) ([]Fig11Row, error) {
 }
 
 // fig11AutoSet and fig11ManualSet are Figure 11's benchmark lists
-// (§7.2); the runner and the spec's enumeration read the same slices.
+// (§7.2).
 var (
 	fig11AutoSet   = []string{"histogram'", "linear_regression"}
 	fig11ManualSet = []string{"dedup", "histogram'", "kmeans", "linear_regression", "lu_ncb", "reverse_index"}
 	// fig11TrialBacked names the manual-row workloads whose "fix did not
 	// beat native" markers are backed by a measured speculative-repair
-	// decline when cfg.SpeculativeRepair is on; the runner and the
-	// spec's enumeration read the same slice.
-	fig11TrialBacked = []string{"dedup", "reverse_index"}
+	// decline when cfg.SpeculativeRepair is on.
+	fig11TrialBacked = map[string]bool{"dedup": true, "reverse_index": true}
 )
-
-// fig11TrialBackedSet is fig11TrialBacked as a membership set.
-func fig11TrialBackedSet() map[string]bool {
-	set := make(map[string]bool, len(fig11TrialBacked))
-	for _, n := range fig11TrialBacked {
-		set[n] = true
-	}
-	return set
-}
 
 // trialNote compresses a measured decline's trial evidence: the best
 // rewrite candidate's cycles against the no-op baseline it failed to
@@ -425,14 +385,6 @@ type Fig12Row struct {
 var fig12Spec = &Spec{
 	Name:      "fig12",
 	Artifacts: []string{"fig12"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		for _, name := range workloadNames() {
-			u.laser(name, cfg.PerfScale, false, false, laserSAV, 1)
-			u.native(name, cfg.PerfScale, workload.Native)
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		rows, err := RunFigure12(cfg)
 		if err != nil {
@@ -509,8 +461,7 @@ type Fig13Point struct {
 	Normalized float64
 }
 
-// fig13SAVs is the Figure 13 sample-after sweep; the runner and the
-// spec's enumeration read the same slice.
+// fig13SAVs is the Figure 13 sample-after sweep.
 var fig13SAVs = []int{1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 
 // fig13Spec declares the dedup SAV sweep: one native baseline plus
@@ -518,16 +469,6 @@ var fig13SAVs = []int{1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
 var fig13Spec = &Spec{
 	Name:      "fig13",
 	Artifacts: []string{"fig13"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		u.native("dedup", cfg.PerfScale, workload.Native)
-		for _, sav := range fig13SAVs {
-			for seed := 1; seed <= runsOf(cfg); seed++ {
-				u.laser("dedup", cfg.PerfScale, false, false, sav, int64(seed))
-			}
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		points, err := RunFigure13(cfg)
 		if err != nil {
@@ -597,26 +538,6 @@ var fig14Set = []string{
 var fig14Spec = &Spec{
 	Name:      "fig14",
 	Artifacts: []string{"fig14"},
-	Enumerate: func(cfg Config) []WorkUnit {
-		u := newUnitSet()
-		for _, name := range fig14Set {
-			w, _ := workload.Get(name)
-			u.native(name, cfg.PerfScale, workload.Native)
-			for seed := 1; seed <= runsOf(cfg); seed++ {
-				u.laser(name, cfg.PerfScale, true, false, laserSAV, int64(seed))
-			}
-			if w.HasFix {
-				u.native(name, cfg.PerfScale, workload.Fixed)
-			}
-			scale, force := fig14SheriffScale(w, cfg.PerfScale)
-			if w.Sheriff == sheriff.OK || force {
-				u.native(name, scale, workload.Native)
-				u.sheriff(name, scale, sheriff.Detect, force)
-				u.sheriff(name, scale, sheriff.Protect, force)
-			}
-		}
-		return u.units
-	},
 	Assemble: func(cfg Config) (*Rendered, error) {
 		rows, err := RunFigure14(cfg)
 		if err != nil {
@@ -626,18 +547,6 @@ var fig14Spec = &Spec{
 			Artifacts: []Artifact{{Name: "fig14", Text: RenderFigure14(rows)}},
 		}, nil
 	},
-}
-
-// fig14SheriffScale returns the workload scale and force flag of a
-// Figure 14 Sheriff run: simlarge-gated workloads run forced at half
-// scale. RunFigure14 and fig14Spec's enumeration share it.
-func fig14SheriffScale(w *workload.Workload, perfScale float64) (scale float64, force bool) {
-	force = w.SheriffSmallOK
-	scale = perfScale
-	if force {
-		scale = perfScale * 0.5
-	}
-	return scale, force
 }
 
 // Fig14Row is one benchmark of the Sheriff comparison. Failed cells hold
@@ -683,9 +592,12 @@ func RunFigure14(cfg Config) ([]Fig14Row, error) {
 				return err
 			}
 		}
-		// Sheriff: OK workloads run at full scale; SmallOK ones at the
-		// reduced simlarge-style scale; the rest fail.
-		scale, force := fig14SheriffScale(w, cfg.PerfScale)
+		// Sheriff: OK workloads run at full scale; SmallOK ones forced at
+		// the reduced simlarge-style half scale; the rest fail.
+		scale, force := cfg.PerfScale, w.SheriffSmallOK
+		if force {
+			scale *= 0.5
+		}
 		if w.Sheriff != sheriff.OK && !force {
 			row.SheriffFailed = true
 		} else {

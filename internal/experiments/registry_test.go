@@ -6,9 +6,8 @@ import (
 )
 
 // The registry's static shape: specs and artifacts unique, every spec
-// enumerable into complete work units.
+// complete.
 func TestRegistryShape(t *testing.T) {
-	cfg := QuickConfig()
 	names := map[string]bool{}
 	arts := map[string]bool{}
 	for _, spec := range Specs() {
@@ -25,14 +24,8 @@ func TestRegistryShape(t *testing.T) {
 			}
 			arts[a] = true
 		}
-		units := spec.Enumerate(cfg)
-		if len(units) == 0 {
-			t.Errorf("%s: enumerates no work units", spec.Name)
-		}
-		for _, u := range units {
-			if u.Run == nil || u.Label == "" {
-				t.Errorf("%s: unit %s incomplete", spec.Name, u.Label)
-			}
+		if spec.Assemble == nil {
+			t.Errorf("%s: no Assemble", spec.Name)
 		}
 	}
 	for _, want := range []string{"fig3", "accuracy", "fig10", "fig11", "fig12", "fig13", "fig14"} {
@@ -48,108 +41,82 @@ func smallConfig() Config {
 	return Config{AccuracyScale: 2, PerfScale: 0.3, Runs: 1}
 }
 
-// The registry completeness contract: for every spec, Enumerate lists
-// exactly the keys Assemble consumes. Each spec's direct (standalone)
-// run is the reference: it must read exactly the enumerated keys, and
-// the executor must produce byte-identical artifacts with per-spec
-// accounting that adds up to every simulation the memo ran. In the
-// executor, a spec whose Assemble reads a key no spec enumerated
-// simulates it during assembly, outside every spec's Simulated count.
+// One pass over the whole registry: every spec renders its registered
+// artifacts in order, nothing fails, and the specs' simulated counts
+// add up to every simulation the memo ran.
 func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
-		t.Skip("double full-registry evaluation; skipped in the reduced-scale race run")
+		t.Skip("full-registry evaluation; skipped in the reduced-scale race run")
 	}
-	cfg := smallConfig()
-	t.Cleanup(resetRunMemo)
-
-	// Direct references: each spec assembles standalone on a fresh
-	// memo, simulating its own misses — the pre-registry runner
-	// behaviour — and the memo then holds exactly the keys it read.
-	direct := map[string]*Rendered{}
-	for _, spec := range Specs() {
-		resetRunMemo()
-		r, err := spec.Assemble(cfg)
-		if err != nil {
-			t.Fatalf("%s: direct assemble: %v", spec.Name, err)
-		}
-		direct[spec.Name] = r
-		enumerated := map[Key]bool{}
-		for _, u := range spec.Enumerate(cfg) {
-			enumerated[u.Key] = true
-		}
-		for k := range runMemo.flights {
-			if !enumerated[k] {
-				t.Errorf("%s: Assemble reads %s, which Enumerate omits", spec.Name, k)
-			}
-			delete(enumerated, k)
-		}
-		for k := range enumerated {
-			t.Errorf("%s: Enumerate lists %s, which Assemble never reads", spec.Name, k)
-		}
-	}
-
 	resetRunMemo()
-	results, sum, err := Run(cfg, func(string) bool { return true }, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Empty() {
-		t.Fatalf("run reported failures: %s", sum)
-	}
+	t.Cleanup(resetRunMemo)
+	results := Run(smallConfig(), func(string) bool { return true }, RunOptions{})
 	if len(results) != len(Specs()) {
-		t.Fatalf("executed %d specs, want %d", len(results), len(Specs()))
+		t.Fatalf("assembled %d specs, want %d", len(results), len(Specs()))
 	}
 	simulated := 0
-	for _, res := range results {
-		want := direct[res.Spec.Name]
-		if !reflect.DeepEqual(res.Rendered.Artifacts, want.Artifacts) {
-			t.Errorf("%s artifacts differ from the direct run:\n%+v\nvs\n%+v",
-				res.Spec.Name, res.Rendered.Artifacts, want.Artifacts)
+	for i, res := range results {
+		if res.Spec != Specs()[i] {
+			t.Errorf("result %d is %s, want registry order", i, res.Spec.Name)
 		}
-		if !reflect.DeepEqual(res.Rendered.Metrics, want.Metrics) {
-			t.Errorf("%s metrics differ: %v vs %v", res.Spec.Name, res.Rendered.Metrics, want.Metrics)
+		if res.Err != nil {
+			t.Errorf("%s failed: %v", res.Spec.Name, res.Err)
+			continue
 		}
-		if res.Units != res.Simulated+res.CacheHits {
-			t.Errorf("%s accounting broken: %d units != %d simulated + %d hits",
-				res.Spec.Name, res.Units, res.Simulated, res.CacheHits)
+		var names []string
+		for _, a := range res.Rendered.Artifacts {
+			names = append(names, a.Name)
+			if a.Text == "" {
+				t.Errorf("%s: artifact %s is empty", res.Spec.Name, a.Name)
+			}
+		}
+		if !reflect.DeepEqual(names, res.Spec.Artifacts) {
+			t.Errorf("%s rendered artifacts %v, registered %v", res.Spec.Name, names, res.Spec.Artifacts)
 		}
 		simulated += res.Simulated
 	}
-	// Nothing failed, so the memo holds one result per simulation.
-	if computes := len(runMemo.flights); computes != simulated {
-		t.Errorf("the memo ran %d simulations, the specs' units %d: an Assemble simulated a unit no spec enumerates",
-			computes, simulated)
+	if computes := runMemo.computeCount(); computes != simulated {
+		t.Errorf("the memo ran %d simulations, the specs counted %d", computes, simulated)
 	}
 }
 
-// The executor's cross-experiment dedup: a unit two specs share is
-// simulated once and reported as a hit by the later spec.
+// Cross-experiment dedup: a simulation two specs share is computed
+// once, so fig12 simulates less after fig11 than it does alone, and the
+// per-spec counts add up to the memo's computes.
 func TestExecutorCrossSpecDedup(t *testing.T) {
-	resetRunMemo()
 	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
-	want := func(e string) bool { return e == "fig11" || e == "fig12" }
-	results, sum, err := Run(cfg, want, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	resetRunMemo()
+	alone := Run(cfg, func(e string) bool { return e == "fig12" }, RunOptions{})
+	if len(alone) != 1 || alone[0].Err != nil {
+		t.Fatalf("fig12 alone: %+v", alone)
 	}
-	if !sum.Empty() {
-		t.Fatalf("run reported failures: %s", sum)
-	}
+
+	resetRunMemo()
+	results := Run(cfg, func(e string) bool { return e == "fig11" || e == "fig12" }, RunOptions{})
 	if len(results) != 2 {
-		t.Fatalf("executed %d specs, want fig11+fig12", len(results))
+		t.Fatalf("assembled %d specs, want fig11+fig12", len(results))
 	}
 	fig11, fig12 := results[0], results[1]
 	if fig11.Spec.Name != "fig11" || fig12.Spec.Name != "fig12" {
 		t.Fatalf("registry order broken: %s, %s", fig11.Spec.Name, fig12.Spec.Name)
 	}
-	// fig12 re-reads natives fig11 already computed (dedup,
-	// linear_regression, ...): it must report hits, not simulations.
-	if fig12.CacheHits == 0 {
-		t.Errorf("fig12 reported no cross-spec hits: %+v", fig12)
+	for _, res := range results {
+		if res.Err != nil {
+			t.Fatalf("%s failed: %v", res.Spec.Name, res.Err)
+		}
 	}
-	if computes := len(runMemo.flights); computes != fig11.Simulated+fig12.Simulated {
-		t.Errorf("executor accounting (%d+%d) disagrees with the memo (%d computes)",
+	// fig12 re-reads natives fig11 already computed (dedup,
+	// linear_regression, ...).
+	if fig12.Simulated >= alone[0].Simulated {
+		t.Errorf("fig12 simulated %d after fig11, %d alone: no cross-spec dedup",
+			fig12.Simulated, alone[0].Simulated)
+	}
+	if computes := runMemo.computeCount(); computes != fig11.Simulated+fig12.Simulated {
+		t.Errorf("per-spec counts (%d+%d) disagree with the memo (%d computes)",
 			fig11.Simulated, fig12.Simulated, computes)
+	}
+	if !reflect.DeepEqual(fig12.Rendered, alone[0].Rendered) {
+		t.Error("fig12 renders differently after fig11 than alone")
 	}
 }

@@ -2,25 +2,26 @@
 // evaluation's chaos tests. A seeded fault plan — parsed from the
 // LASER_FAULT_PLAN environment variable (laserbench and laserd) or the
 // laserbench -fault-plan flag — names injection points in the
-// evaluation's executor and laserd's session journal and fires faults
-// at them: panics inside a work unit, injected errors, stalls that push
-// a unit past its deadline, failed journal writes and truncated
-// checkpoint reads.
+// evaluation's run memo and laserd's session journal and fires faults
+// at them: panics inside a simulation, injected errors, stalls that
+// push a simulation past its deadline, failed journal writes and
+// truncated checkpoint reads.
 //
 // Every decision is a pure function of (plan seed, point name, site
-// key, attempt number): no call counters shared across goroutines, no
-// clocks, no randomness. Two processes running the same plan over the
-// same work therefore inject the same faults into the same units no
-// matter how execution interleaves — a chaos failure observed in CI is
-// replayed exactly by re-running with the printed plan string.
+// key): no call counters shared across goroutines, no clocks, no
+// randomness. Two processes running the same plan over the same work
+// therefore inject the same faults into the same simulations no matter
+// how execution interleaves — a chaos failure observed in CI is
+// replayed exactly by re-running with the printed plan string. A fault
+// that fires at a key fires every time that key is checked.
 //
 // With no plan enabled, every helper is a single atomic pointer load
-// and a nil check; the executor and journal hot paths pay nothing
+// and a nil check; the run memo and journal hot paths pay nothing
 // measurable.
 //
 // Plan syntax (see Parse):
 //
-//	seed=42;unit.panic:p=0.05,attempts=1;unit.err:p=0.3;unit.stall:p=1,attempts=1,delay=2s,match=native/histogram@
+//	seed=42;unit.panic:p=0.05;unit.err:p=0.3;unit.stall:p=1,delay=2s,match=native/histogram@
 package faultinject
 
 import (
@@ -34,17 +35,17 @@ import (
 )
 
 // The registered injection points. Sites pass their own stable key: the
-// executor passes the work unit's label, which contains the tool and
-// workload name, and the journal passes the session id; a rule's
-// match= substring selects faults by it.
+// evaluation's run memo passes the simulation's key label, which starts
+// "<tool>/<workload>@<scale>", and the journal passes the session id; a
+// rule's match= substring selects faults by it.
 const (
-	// PointUnitPanic panics at the start of a work-unit attempt.
+	// PointUnitPanic panics at the start of a memoized simulation.
 	PointUnitPanic = "unit.panic"
-	// PointUnitErr fails a work-unit attempt with an injected error.
+	// PointUnitErr fails a memoized simulation with an injected error.
 	PointUnitErr = "unit.err"
-	// PointUnitStall sleeps a work-unit attempt past its deadline (the
-	// attempt then fails with an injected stall error; the executor's
-	// deadline normally preempts it first).
+	// PointUnitStall sleeps a memoized simulation past its deadline
+	// (it then fails with an injected stall error; the memo's deadline
+	// normally preempts it first).
 	PointUnitStall = "unit.stall"
 	// PointStateWriteErr fails a session-journal write (checkpoint or
 	// frame-log append) in the durable-session store; the session keeps
@@ -62,11 +63,7 @@ type Fault struct {
 	Point string
 	// Prob is the per-(point, key) firing probability in [0, 1].
 	Prob float64
-	// Attempts bounds the fault to the first N attempts at a key
-	// (1-based): a transient fault that a retry gets past. 0 means the
-	// fault is permanent — it fires on every attempt.
-	Attempts int
-	// Delay is the stall duration for PointUnitStall rules.
+	// Delay is the stall duration; only PointUnitStall rules take one.
 	Delay time.Duration
 	// Match, when non-empty, restricts the rule to site keys containing
 	// it as a substring.
@@ -90,10 +87,10 @@ func (p *Plan) String() string { return p.spec }
 
 // Parse parses a plan spec: semicolon-separated segments, the first
 // optionally "seed=N" (default seed 1), each further segment a rule
-// "point" or "point:k=v,k=v" with keys p (probability, default 1),
-// attempts (fault persists for the first N attempts; default 0 =
-// permanent), delay (Go duration, stalls only), and match (substring
-// filter on the site key). An empty spec yields a nil plan.
+// "point" or "point:k=v,k=v" with keys p (probability in [0, 1],
+// default 1), delay (non-negative Go duration, stall points only), and
+// match (substring filter on the site key). An empty spec yields a nil
+// plan.
 func Parse(spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -130,16 +127,18 @@ func Parse(spec string) (*Plan, error) {
 				switch k {
 				case "p":
 					f.Prob, err = strconv.ParseFloat(v, 64)
-					if err == nil && (f.Prob < 0 || f.Prob > 1) {
+					// Written so NaN fails too: a NaN rule would never fire.
+					if err == nil && !(f.Prob >= 0 && f.Prob <= 1) {
 						err = fmt.Errorf("probability %g outside [0, 1]", f.Prob)
-					}
-				case "attempts":
-					f.Attempts, err = strconv.Atoi(v)
-					if err == nil && f.Attempts < 0 {
-						err = fmt.Errorf("negative attempts %d", f.Attempts)
 					}
 				case "delay":
 					f.Delay, err = time.ParseDuration(v)
+					if err == nil && f.Delay < 0 {
+						err = fmt.Errorf("negative delay %s", f.Delay)
+					}
+					if err == nil && point != PointUnitStall {
+						err = fmt.Errorf("delay set on %s, which does not stall", point)
+					}
 				case "match":
 					f.Match = v
 				default:
@@ -214,18 +213,13 @@ func frac(seed int64, point, key string) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// decide returns the first armed rule for point that fires at (key,
-// attempt). attempt is 1-based; sites without a natural attempt counter
-// pass 1.
-func (p *Plan) decide(point, key string, attempt int) (Fault, bool) {
+// decide returns the first armed rule for point that fires at key.
+func (p *Plan) decide(point, key string) (Fault, bool) {
 	for _, f := range p.Rules {
 		if f.Point != point {
 			continue
 		}
 		if f.Match != "" && !strings.Contains(key, f.Match) {
-			continue
-		}
-		if f.Attempts > 0 && attempt > f.Attempts {
 			continue
 		}
 		if frac(p.Seed, point, key) < f.Prob {
@@ -235,67 +229,62 @@ func (p *Plan) decide(point, key string, attempt int) (Fault, bool) {
 	return Fault{}, false
 }
 
-// Check reports whether a fault fires at (point, key, attempt) under
-// the active plan. The no-plan path is one atomic load.
-func Check(point, key string, attempt int) (Fault, bool) {
+// Check reports whether a fault fires at (point, key) under the active
+// plan. The no-plan path is one atomic load.
+func Check(point, key string) (Fault, bool) {
 	p := active.Load()
 	if p == nil {
 		return Fault{}, false
 	}
-	return p.decide(point, key, attempt)
+	return p.decide(point, key)
 }
 
-// Error returns an injected error when (point, key, attempt) fires,
-// nil otherwise.
-func Error(point, key string, attempt int) error {
-	if f, ok := Check(point, key, attempt); ok {
-		return &InjectedError{Point: f.Point, Key: key, Attempt: attempt}
+// Error returns an injected error when (point, key) fires, nil
+// otherwise.
+func Error(point, key string) error {
+	if f, ok := Check(point, key); ok {
+		return &InjectedError{Point: f.Point, Key: key}
 	}
 	return nil
 }
 
-// Panic panics with an *InjectedError value when (point, key, attempt)
-// fires.
-func Panic(point, key string, attempt int) {
-	if f, ok := Check(point, key, attempt); ok {
-		panic(&InjectedError{Point: f.Point, Key: key, Attempt: attempt})
+// Panic panics with an *InjectedError value when (point, key) fires.
+func Panic(point, key string) {
+	if f, ok := Check(point, key); ok {
+		panic(&InjectedError{Point: f.Point, Key: key})
 	}
 }
 
 // Stall sleeps the rule's delay and returns an injected error when
-// (point, key, attempt) fires; the caller is expected to be racing a
-// deadline that preempts the sleep's outcome.
-func Stall(point, key string, attempt int) error {
-	if f, ok := Check(point, key, attempt); ok {
+// (point, key) fires; the caller is expected to be racing a deadline
+// that preempts the sleep's outcome.
+func Stall(point, key string) error {
+	if f, ok := Check(point, key); ok {
 		time.Sleep(f.Delay)
-		return &InjectedError{Point: f.Point, Key: key, Attempt: attempt, Stalled: f.Delay}
+		return &InjectedError{Point: f.Point, Key: key, Stalled: f.Delay}
 	}
 	return nil
 }
 
 // Corrupt truncates data mid-read when (point, key) fires — the
-// injected counterpart of a torn or half-written file. Attempt is keyed
-// at 1: a read has no retries, so per-attempt transience is
-// meaningless at this point.
+// injected counterpart of a torn or half-written file.
 func Corrupt(point, key string, data []byte) []byte {
-	if _, ok := Check(point, key, 1); ok {
+	if _, ok := Check(point, key); ok {
 		return data[:len(data)/2]
 	}
 	return data
 }
 
-// InjectedError marks a fault injected by the active plan; failure
-// accounting (the executor's fault-kind tally) recognizes it.
+// InjectedError marks a fault injected by the active plan.
 type InjectedError struct {
 	Point   string
 	Key     string
-	Attempt int
 	Stalled time.Duration
 }
 
 func (e *InjectedError) Error() string {
 	if e.Stalled > 0 {
-		return fmt.Sprintf("faultinject: %s stalled %s for %s (attempt %d)", e.Point, e.Key, e.Stalled, e.Attempt)
+		return fmt.Sprintf("faultinject: %s stalled %s for %s", e.Point, e.Key, e.Stalled)
 	}
-	return fmt.Sprintf("faultinject: %s fired for %s (attempt %d)", e.Point, e.Key, e.Attempt)
+	return fmt.Sprintf("faultinject: %s fired for %s", e.Point, e.Key)
 }

@@ -2,12 +2,15 @@ package faultinject
 
 import (
 	"errors"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestParse(t *testing.T) {
-	p, err := Parse("seed=42;unit.panic:p=0.5,attempts=1;state.read.corrupt;unit.stall:p=1,delay=150ms,match=native/histogram@")
+	p, err := Parse("seed=42;unit.panic:p=0.5;state.read.corrupt;unit.stall:p=1,delay=150ms,match=native/histogram@")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +21,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("rules = %+v, want 3", p.Rules)
 	}
 	want := []Fault{
-		{Point: PointUnitPanic, Prob: 0.5, Attempts: 1},
+		{Point: PointUnitPanic, Prob: 0.5},
 		{Point: PointStateReadCorrupt, Prob: 1},
 		{Point: PointUnitStall, Prob: 1, Delay: 150 * time.Millisecond, Match: "native/histogram@"},
 	}
@@ -41,8 +44,8 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"cache.write.err",
 		"unit.panic:p=1.5",
 		"unit.panic:p",
-		"unit.panic:attempts=-1",
-		"unit.panic:delay=fast",
+		"unit.panic:attempts=1", // faults no longer depend on an attempt
+		"unit.stall:delay=fast",
 		"unit.panic:frequency=often",
 		"seed=7",
 	} {
@@ -50,10 +53,25 @@ func TestParseEmptyAndErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
+	// Rules that could never fire, or that set what their point ignores,
+	// are refused with an error naming the rule.
+	for _, rule := range []string{
+		"unit.panic:p=NaN", // frac < NaN is false: it would never fire
+		"unit.stall:delay=-1s",
+		"unit.panic:delay=1s", // only stalls sleep
+		"state.write.err:p=1,delay=1s",
+	} {
+		_, err := Parse("seed=3;" + rule)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted", rule)
+		} else if !strings.Contains(err.Error(), rule) {
+			t.Errorf("Parse(%q) error %q does not name the rule", rule, err)
+		}
+	}
 }
 
-// The same plan must fire the same faults at the same (point, key,
-// attempt) regardless of call order or repetition: replayability is the
+// The same plan must fire the same faults at the same (point, key)
+// regardless of call order or repetition: replayability is the
 // whole point.
 func TestDecisionsDeterministic(t *testing.T) {
 	p, err := Parse("seed=9;unit.panic:p=0.4;state.write.err:p=0.4")
@@ -64,7 +82,7 @@ func TestDecisionsDeterministic(t *testing.T) {
 	first := map[string]bool{}
 	fired := 0
 	for _, k := range keys {
-		_, ok := p.decide(PointUnitPanic, k, 1)
+		_, ok := p.decide(PointUnitPanic, k)
 		first[k] = ok
 		if ok {
 			fired++
@@ -76,7 +94,7 @@ func TestDecisionsDeterministic(t *testing.T) {
 	// Re-query in reverse and repeatedly: identical outcomes.
 	for i := len(keys) - 1; i >= 0; i-- {
 		for rep := 0; rep < 3; rep++ {
-			if _, ok := p.decide(PointUnitPanic, keys[i], 1); ok != first[keys[i]] {
+			if _, ok := p.decide(PointUnitPanic, keys[i]); ok != first[keys[i]] {
 				t.Fatalf("key %q flipped between queries", keys[i])
 			}
 		}
@@ -85,7 +103,7 @@ func TestDecisionsDeterministic(t *testing.T) {
 	// on exactly the same key set.
 	same := true
 	for _, k := range keys {
-		_, ok := p.decide(PointStateWriteErr, k, 1)
+		_, ok := p.decide(PointStateWriteErr, k)
 		if ok != first[k] {
 			same = false
 		}
@@ -102,8 +120,8 @@ func TestSeedChangesDecisions(t *testing.T) {
 	p1, _ := Parse("seed=1;unit.err:p=0.5")
 	p2, _ := Parse("seed=2;unit.err:p=0.5")
 	for _, k := range keys {
-		_, a := p1.decide(PointUnitErr, k, 1)
-		_, b := p2.decide(PointUnitErr, k, 1)
+		_, a := p1.decide(PointUnitErr, k)
+		_, b := p2.decide(PointUnitErr, k)
 		if a != b {
 			diff = true
 		}
@@ -113,26 +131,12 @@ func TestSeedChangesDecisions(t *testing.T) {
 	}
 }
 
-func TestAttemptBound(t *testing.T) {
-	p, _ := Parse("seed=1;unit.err:p=1,attempts=2")
-	for attempt := 1; attempt <= 4; attempt++ {
-		_, ok := p.decide(PointUnitErr, "k", attempt)
-		if want := attempt <= 2; ok != want {
-			t.Errorf("attempt %d: fired=%v, want %v", attempt, ok, want)
-		}
-	}
-	perm, _ := Parse("seed=1;unit.err:p=1")
-	if _, ok := perm.decide(PointUnitErr, "k", 1000); !ok {
-		t.Error("permanent rule stopped firing")
-	}
-}
-
 func TestMatchFilter(t *testing.T) {
 	p, _ := Parse("seed=1;unit.panic:p=1,match=vtune/string_match")
-	if _, ok := p.decide(PointUnitPanic, "vtune/string_match@3/seed1", 1); !ok {
+	if _, ok := p.decide(PointUnitPanic, "vtune/string_match@3/seed1"); !ok {
 		t.Error("matching key did not fire")
 	}
-	if _, ok := p.decide(PointUnitPanic, "native/histogram@3/v0", 1); ok {
+	if _, ok := p.decide(PointUnitPanic, "native/histogram@3/v0"); ok {
 		t.Error("non-matching key fired")
 	}
 }
@@ -140,10 +144,10 @@ func TestMatchFilter(t *testing.T) {
 func TestHelpersAndDisabledPath(t *testing.T) {
 	Enable(nil)
 	t.Cleanup(func() { Enable(nil) })
-	if err := Error(PointUnitErr, "k", 1); err != nil {
+	if err := Error(PointUnitErr, "k"); err != nil {
 		t.Fatalf("disabled Error = %v", err)
 	}
-	Panic(PointUnitPanic, "k", 1) // must not panic
+	Panic(PointUnitPanic, "k") // must not panic
 	if got := Corrupt(PointStateReadCorrupt, "k", []byte("abcd")); string(got) != "abcd" {
 		t.Fatalf("disabled Corrupt rewrote data: %q", got)
 	}
@@ -154,7 +158,7 @@ func TestHelpersAndDisabledPath(t *testing.T) {
 	}
 	Enable(p)
 	var inj *InjectedError
-	if err := Error(PointUnitErr, "k", 1); !errors.As(err, &inj) {
+	if err := Error(PointUnitErr, "k"); !errors.As(err, &inj) {
 		t.Fatalf("Error = %v, want *InjectedError", err)
 	}
 	func() {
@@ -164,11 +168,11 @@ func TestHelpersAndDisabledPath(t *testing.T) {
 				t.Errorf("Panic recovered %v, want *InjectedError", r)
 			}
 		}()
-		Panic(PointUnitPanic, "k", 1)
+		Panic(PointUnitPanic, "k")
 		t.Error("Panic did not panic")
 	}()
 	start := time.Now()
-	if err := Stall(PointUnitStall, "k", 1); !errors.As(err, &inj) || inj.Stalled != time.Millisecond {
+	if err := Stall(PointUnitStall, "k"); !errors.As(err, &inj) || inj.Stalled != time.Millisecond {
 		t.Errorf("Stall = %v", err)
 	} else if time.Since(start) < time.Millisecond {
 		t.Error("Stall did not sleep")
@@ -179,7 +183,7 @@ func TestHelpersAndDisabledPath(t *testing.T) {
 }
 
 func TestPlanStringRoundTrip(t *testing.T) {
-	spec := "seed=5;unit.panic:p=0.25,attempts=1"
+	spec := "seed=5;unit.panic:p=0.25;unit.stall:delay=2s,match=char/"
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -191,18 +195,63 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Seed != p.Seed || len(again.Rules) != len(p.Rules) || again.Rules[0] != p.Rules[0] {
+	if again.Seed != p.Seed || !reflect.DeepEqual(again.Rules, p.Rules) {
 		t.Errorf("replayed plan differs: %+v vs %+v", again, p)
 	}
 }
 
 // The disabled fast path is one atomic pointer load — the cost the
-// executor and the journal pay on every healthy run.
+// run memo and the journal pay on every healthy run.
 func BenchmarkCheckDisabled(b *testing.B) {
 	Enable(nil)
 	for i := 0; i < b.N; i++ {
-		if _, ok := Check("unit.err", "laser/histogram@1/sav7/seed1", 1); ok {
+		if _, ok := Check("unit.err", "laser/histogram@1/sav7/seed1"); ok {
 			b.Fatal("disabled plan fired")
 		}
 	}
+}
+
+// FuzzParsePlan: Parse never panics; every rule it accepts names a
+// registered point, fires with a probability in [0, 1] and stalls for
+// a non-negative delay; and the plan's canonical string replays to the
+// same seed and rules.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"unit.panic",
+		"seed=42;unit.panic:p=0.5;state.read.corrupt;unit.stall:p=1,delay=150ms,match=native/histogram@",
+		"seed=-3;unit.err:p=0,match=laser/dedup@;state.write.err:p=1,match=s00",
+		"seed=7",
+		";;unit.err:p=1e-300,match=",
+	} {
+		f.Add(seed)
+	}
+	points := make(map[string]bool)
+	for _, pt := range Points() {
+		points[pt] = true
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil {
+			return
+		}
+		for _, r := range p.Rules {
+			if !points[r.Point] {
+				t.Errorf("accepted unknown point %q", r.Point)
+			}
+			if !(r.Prob >= 0 && r.Prob <= 1) || math.IsNaN(r.Prob) {
+				t.Errorf("rule %+v: probability outside [0, 1]", r)
+			}
+			if r.Delay < 0 {
+				t.Errorf("rule %+v: negative delay", r)
+			}
+		}
+		again, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("canonical string %q rejected: %v", p.String(), err)
+		}
+		if again.Seed != p.Seed || !reflect.DeepEqual(again.Rules, p.Rules) {
+			t.Errorf("replay of %q differs: %+v vs %+v", p.String(), again, p)
+		}
+	})
 }

@@ -231,7 +231,7 @@ func (s *Store) publish(stage, id string, attach []byte, frames [][]byte, stamps
 	}
 	// Injected after the staged writes, so a fault exercises the cleanup
 	// of a fully staged journal.
-	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
+	if err := faultinject.Error(faultinject.PointStateWriteErr, id); err != nil {
 		return err
 	}
 	if err := os.Rename(stage, s.sessionDir(id)); err != nil {
@@ -246,7 +246,7 @@ func (s *Store) AppendFrames(id string, seq uint64, frames [][]byte, stamps []in
 	if len(frames) == 0 {
 		return nil
 	}
-	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
+	if err := faultinject.Error(faultinject.PointStateWriteErr, id); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(filepath.Join(s.sessionDir(id), "frames.log"),
@@ -268,7 +268,7 @@ func (s *Store) AppendFrames(id string, seq uint64, frames [][]byte, stamps []in
 // WriteCheckpoint atomically replaces the session's checkpoint. It
 // returns the number of bytes written.
 func (s *Store) WriteCheckpoint(meta Meta, state []byte) (int, error) {
-	if err := faultinject.Error(faultinject.PointStateWriteErr, meta.ID, 1); err != nil {
+	if err := faultinject.Error(faultinject.PointStateWriteErr, meta.ID); err != nil {
 		return 0, err
 	}
 	ckpt, err := encodeCheckpoint(meta, state)
@@ -444,7 +444,7 @@ func readFrameLog(path string) (frames [][]byte, stamps []int64, err error) {
 // already holds exactly the canonical bytes (a missing log counts as
 // empty) is left as it is: after a clean shutdown that is every log.
 func (s *Store) ResetFrames(id string, frames [][]byte, stamps []int64) error {
-	if err := faultinject.Error(faultinject.PointStateWriteErr, id, 1); err != nil {
+	if err := faultinject.Error(faultinject.PointStateWriteErr, id); err != nil {
 		return err
 	}
 	log := encodeFrames(0, frames, stamps)
