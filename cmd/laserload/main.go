@@ -26,7 +26,7 @@
 // Usage:
 //
 //	laserload [-url http://127.0.0.1:8347] [-sessions 120]
-//	          [-concurrency 120] [-seeds 8] [-out BENCH_PR7.json]
+//	          [-concurrency 120] [-seeds 8] [-out laserload-report.json]
 //	          [-daemon ./laserd] [-daemon-addr 127.0.0.1:18351]
 //	          [-state-dir DIR] [-chaos-restart N]
 package main
@@ -76,7 +76,7 @@ func run(args []string) int {
 	iters := fs.Int64("iters", 20_000, "custom image loop iterations")
 	poll := fs.Uint64("poll", 5_000, "session poll interval in cycles")
 	sav := fs.Int("sav", 2, "PEBS sample-after value")
-	out := fs.String("out", "BENCH_PR7.json", "benchmark report output path")
+	out := fs.String("out", "laserload-report.json", "benchmark report output path")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-session deadline")
 	daemon := fs.String("daemon", "", "laserd binary to spawn (required for -chaos-restart)")
 	daemonAddr := fs.String("daemon-addr", "127.0.0.1:18351", "listen address for the spawned daemon")
@@ -685,7 +685,7 @@ func (lc *loadClient) streamOnce(id string, st *streamState) error {
 	}
 }
 
-// benchReport is the BENCH_PR7.json schema.
+// benchReport is the schema of the -out report.
 type benchReport struct {
 	GeneratedUnix       int64             `json:"generated_unix"`
 	URL                 string            `json:"url"`

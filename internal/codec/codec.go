@@ -15,30 +15,29 @@
 //	float64         8 bytes, little-endian IEEE 754
 //	string          varint length, then the bytes
 //	array           its elements; a byte array is copied in bulk
-//	slice, map      varint 0 for nil, else length+1, then the elements
-//	                (a byte slice in bulk; map entries in increasing key
-//	                order, key then value)
+//	slice           varint 0 for nil, else length+1, then the elements
+//	                (a byte slice in bulk)
 //	pointer         byte 0 for nil, else 1 and the pointee
-//	struct          its exported fields in declaration order
+//	struct          its exported fields in declaration order, except
+//	                those tagged `codec:"-"`, which decode as zero
 //
 // Decoding is strict, so every input it accepts re-encodes to the same
 // bytes: varints must be minimal, a bool 0 or 1, a pointer marker 0 or
-// 1, map keys strictly increasing, integers must fit their field, and
-// no bytes may trail the value. Every length is checked against the
-// bytes left before anything is allocated, and malformed input is an
-// error, never a panic. Kinds with no faithful encoding — interfaces,
-// channels, functions, float32, complex, uintptr, unsafe pointers — are
-// compile errors, never silently dropped.
+// 1, integers must fit their field, and no bytes may trail the value.
+// Every length is checked against the bytes left before anything is
+// allocated, and malformed input is an error, never a panic. Kinds with
+// no faithful encoding — maps, interfaces, channels, functions,
+// float32, complex, uintptr, unsafe pointers — are compile errors,
+// never silently dropped; a field that must stay out of the encoding
+// says so with the tag.
 package codec
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"sync"
 )
 
@@ -57,7 +56,6 @@ var (
 	errMarker    = errors.New("bool or pointer marker is not 0 or 1")
 	errRange     = errors.New("integer out of range for its field")
 	errLength    = errors.New("length exceeds the remaining input")
-	errMapOrder  = errors.New("map keys not strictly increasing")
 )
 
 var (
@@ -134,8 +132,6 @@ func buildCodec(t reflect.Type) (*typeCodec, error) {
 			return &typeCodec{enc: encBytes, dec: decBytes, minSize: 1}, nil
 		}
 		return compileSlice(t)
-	case reflect.Map:
-		return compileMap(t)
 	case reflect.Pointer:
 		return compilePointer(t)
 	case reflect.Struct:
@@ -144,7 +140,7 @@ func buildCodec(t reflect.Type) (*typeCodec, error) {
 	return nil, fmt.Errorf("snapshot codec: unsupported kind %s (type %s)", t.Kind(), t)
 }
 
-// elemCodec compiles the element type of a slice or map, which must
+// elemCodec compiles the element type of a slice, which must
 // encode to at least one byte: a length checked against the bytes left
 // then bounds the allocation.
 func elemCodec(t, of reflect.Type) (*typeCodec, error) {
@@ -218,76 +214,6 @@ func compileSlice(t reflect.Type) (*typeCodec, error) {
 	}, nil
 }
 
-func compileMap(t reflect.Type) (*typeCodec, error) {
-	var keyCmp func(a, b reflect.Value) int
-	switch t.Key().Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.Int(), b.Int()) }
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) }
-	case reflect.String:
-		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.String(), b.String()) }
-	default:
-		return nil, fmt.Errorf("snapshot codec: unsupported map key type %s in %s", t.Key(), t)
-	}
-	kc, err := elemCodec(t.Key(), t)
-	if err != nil {
-		return nil, err
-	}
-	vc, err := compileType(t.Elem())
-	if err != nil {
-		return nil, err
-	}
-	kt, vt := t.Key(), t.Elem()
-	return &typeCodec{
-		enc: func(b []byte, v reflect.Value) []byte {
-			if v.IsNil() {
-				return append(b, 0)
-			}
-			keys := v.MapKeys()
-			slices.SortFunc(keys, keyCmp)
-			b = binary.AppendUvarint(b, uint64(len(keys))+1)
-			// Map keys and values are not addressable; encode copies,
-			// so every value the closures see is.
-			k, val := reflect.New(kt).Elem(), reflect.New(vt).Elem()
-			for _, key := range keys {
-				k.Set(key)
-				val.Set(v.MapIndex(key))
-				b = kc.enc(b, k)
-				b = vc.enc(b, val)
-			}
-			return b
-		},
-		dec: func(d *decoder, v reflect.Value) error {
-			n, isNil, err := d.length(kc.minSize + vc.minSize)
-			if err != nil || isNil {
-				v.SetZero()
-				return err
-			}
-			m := reflect.MakeMapWithSize(t, n)
-			v.Set(m)
-			var prev reflect.Value
-			for i := 0; i < n; i++ {
-				k := reflect.New(kt).Elem()
-				if err := kc.dec(d, k); err != nil {
-					return err
-				}
-				if i > 0 && keyCmp(prev, k) >= 0 {
-					return errMapOrder
-				}
-				val := reflect.New(vt).Elem()
-				if err := vc.dec(d, val); err != nil {
-					return err
-				}
-				m.SetMapIndex(k, val)
-				prev = k
-			}
-			return nil
-		},
-		minSize: 1,
-	}, nil
-}
-
 func compilePointer(t reflect.Type) (*typeCodec, error) {
 	ec, err := compileType(t.Elem())
 	if err != nil {
@@ -321,10 +247,15 @@ func compileStruct(t reflect.Type) (*typeCodec, error) {
 		c     *typeCodec
 	}
 	var fields []field
+	var skipped []int
 	size := 0
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {
+			continue
+		}
+		if f.Tag.Get("codec") == "-" {
+			skipped = append(skipped, i)
 			continue
 		}
 		c, err := compileType(f.Type)
@@ -342,6 +273,9 @@ func compileStruct(t reflect.Type) (*typeCodec, error) {
 			return b
 		},
 		dec: func(d *decoder, v reflect.Value) error {
+			for _, i := range skipped {
+				v.Field(i).SetZero()
+			}
 			for _, f := range fields {
 				if err := f.c.dec(d, v.Field(f.index)); err != nil {
 					return err
@@ -416,7 +350,7 @@ func (d *decoder) marker() (bool, error) {
 	return m == 1, nil
 }
 
-// length reads a slice or map header: nil, or a length whose elements,
+// length reads a slice header: nil, or a length whose elements,
 // at minSize bytes each, fit in the input left.
 func (d *decoder) length(minSize int) (n int, isNil bool, err error) {
 	u, err := d.uvarint()

@@ -49,15 +49,6 @@ type Config struct {
 	// needed before a TS/FS verdict is issued; below it the line reports
 	// Unknown.
 	MinClassifyEvents int
-	// MinModelFraction is the minimum fraction of a line's records that
-	// must both carry a usable data address and decode to a memory
-	// instruction before the line is classified. Store-triggered records
-	// cap this fraction near 1/3 (exact plus clean-skid captures over all
-	// skid captures), so write-dominated contention — linear_regression
-	// at -O3 — lands below the bar and reports Unknown: "unable to
-	// conclusively identify the type … due to low data address accuracy"
-	// (§7.1, Table 2). Load-dominated lines sit well above it.
-	MinModelFraction float64
 	// RepairRateThreshold is the false-sharing event rate (FS
 	// events/second, sampled) above which LASERREPAIR is invoked (§4.4).
 	RepairRateThreshold float64
@@ -72,21 +63,30 @@ type Config struct {
 	// detector's classification — decide whether any rewrite helps a
 	// workload whose contention classifies as true sharing.
 	RepairAllContention bool
-	// ProcessCyclesPerRecord models the detector's own CPU usage, for
-	// the Figure 12 accounting. The detector is a separate process; this
-	// cost does not perturb the application.
-	ProcessCyclesPerRecord uint64
 }
+
+// MinModelFraction is the minimum fraction of a line's records that
+// must both carry a usable data address and decode to a memory
+// instruction before the line is classified. Store-triggered records
+// cap this fraction near 1/3 (exact plus clean-skid captures over all
+// skid captures), so write-dominated contention — linear_regression
+// at -O3 — lands below the bar and reports Unknown: "unable to
+// conclusively identify the type … due to low data address accuracy"
+// (§7.1, Table 2). Load-dominated lines sit well above it.
+const MinModelFraction = 0.38
+
+// ProcessCyclesPerRecord models the detector's own CPU usage, for the
+// Figure 12 accounting. The detector is a separate process; this cost
+// does not perturb the application.
+const ProcessCyclesPerRecord = 260
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		RateThreshold:          1_000,
-		SAV:                    19,
-		MinClassifyEvents:      12,
-		MinModelFraction:       0.38,
-		RepairRateThreshold:    60_000,
-		ProcessCyclesPerRecord: 260,
+		RateThreshold:       1_000,
+		SAV:                 19,
+		MinClassifyEvents:   12,
+		RepairRateThreshold: 60_000,
 	}
 }
 
@@ -237,7 +237,7 @@ func (p *Pipeline) Feed(recs []driver.Record) {
 	for _, r := range p.sortBuf {
 		p.feedOne(r)
 	}
-	p.cycles += uint64(len(recs)) * p.cfg.ProcessCyclesPerRecord
+	p.cycles += uint64(len(recs)) * ProcessCyclesPerRecord
 }
 
 func (p *Pipeline) feedOne(r driver.Record) {
@@ -427,7 +427,7 @@ func buildReport(rep *Report, cfg Config, lines map[isa.SourceLoc]*lineStat, sec
 		events := ls.ts + ls.fs
 		switch {
 		case events < uint64(cfg.MinClassifyEvents),
-			float64(events) < cfg.MinModelFraction*float64(ls.records+ls.badAddr):
+			float64(events) < MinModelFraction*float64(ls.records+ls.badAddr):
 			rl.Kind = Unknown
 		case ls.ts >= ls.fs:
 			rl.Kind = TrueSharing

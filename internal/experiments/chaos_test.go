@@ -41,13 +41,11 @@ func renderAll(results []SpecResult) string {
 // naming the failed simulation; the sibling spec renders byte-identical
 // to a fault-free run.
 func TestRunPermanentFaultQuarantines(t *testing.T) {
-	resetRunMemo()
-	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" || e == "fig13" }
 	clean := Run(cfg, want, RunOptions{})
 
-	resetRunMemo()
+	isolateMemo(t)
 	// Permanently fail fig13's laser SAV sweep; fig3 (characterization
 	// cases only) is untouched.
 	enableFaults(t, "seed=1;unit.err:p=1,match=laser/dedup@")
@@ -75,8 +73,7 @@ func TestRunPermanentFaultQuarantines(t *testing.T) {
 // a timeout without waiting out the stall, and the sibling spec renders
 // normally.
 func TestRunDeadlinePreemptsStall(t *testing.T) {
-	resetRunMemo()
-	t.Cleanup(resetRunMemo)
+	isolateMemo(t)
 	cfg := smallConfig()
 	want := func(e string) bool { return e == "fig3" || e == "fig13" }
 
@@ -107,8 +104,7 @@ func TestRunDeadlinePreemptsStall(t *testing.T) {
 // spec reading the key fails with the very same error, without
 // simulating it again.
 func TestQuarantinePoisonsLaterSpecs(t *testing.T) {
-	resetRunMemo()
-	t.Cleanup(resetRunMemo)
+	isolateMemo(t)
 	cfg := smallConfig()
 	// fig11 and fig12 both read dedup's native baseline.
 	want := func(e string) bool { return e == "fig11" || e == "fig12" }

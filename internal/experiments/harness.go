@@ -234,6 +234,7 @@ func laserKey(name string, scale float64, repairOn, spec bool, sav int, seed int
 	// trial-on and trial-off runs never share a key.
 	cfg.SpeculativeRepair = spec && repairOn
 	cfg.MaxEpochs = 1
+	cfg.PostRepairMonitoring = false
 	return Key{
 		Tool: "laser", Workload: name, Scale: scale,
 		SAV: cfg.PEBS.SAV, Seed: seed,
@@ -251,7 +252,7 @@ func laserJob(name string, scale float64, repairOn, spec bool, sav int, seed int
 // runLaser executes one workload under the full LASER stack, via the
 // Session API. The harness reproduces the paper's runs exactly: a single
 // detect→repair epoch with monitoring frozen after a rewrite — the
-// paper's one-shot semantics, pinned with options — so every rendered
+// paper's one-shot semantics, pinned in its Config — so every rendered
 // table and figure is byte-identical to the one-shot system. Results
 // are memoized.
 func runLaser(name string, scale float64, repairOn, spec bool, sav int, seed int64) (*laserRun, error) {
@@ -277,7 +278,6 @@ func laserProbeJob(name string, scale float64, sav int, seed int64) (Key, func()
 	// reverse_index's merge — delivers its whole record budget in the
 	// final drain, after the last trigger poll ever ran.
 	cfg.PEBS.SAV = 1
-	cfg.Detector.SAV = 1
 	key.SAV = 1
 	if cfg.PollInterval >= 8 {
 		cfg.PollInterval /= 8
@@ -304,9 +304,7 @@ func laserCompute(cfg laser.Config, name string, scale float64) func() (*laserRu
 			return nil, fmt.Errorf("experiments: unknown workload %q", name)
 		}
 		img := w.Build(workload.Options{Scale: scale, HeapBias: laser.AttachBias})
-		s, err := laser.Attach(img,
-			laser.WithConfig(cfg),
-			laser.WithPostRepairMonitoring(false))
+		s, err := laser.Attach(img, laser.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}

@@ -9,9 +9,19 @@ import (
 	"time"
 )
 
-// resetRunMemo drops every memoized run, so the next capture simulates
-// again.
-func resetRunMemo() { runMemo = newMemo() }
+// Tests share the process's run memo, as the figures of one
+// laserbench run do: a simulation is a pure function of its key, so a
+// clean outcome one test computed serves every later test that reads
+// the key. A test that injects faults or counts simulations from zero
+// runs on an isolated memo instead.
+
+// isolateMemo gives the rest of the test a fresh run memo and restores
+// the shared one when the test ends.
+func isolateMemo(t *testing.T) {
+	shared := runMemo
+	runMemo = newMemo()
+	t.Cleanup(func() { runMemo = shared })
+}
 
 type memoPayload struct {
 	Name   string

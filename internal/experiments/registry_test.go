@@ -43,13 +43,13 @@ func smallConfig() Config {
 
 // One pass over the whole registry: every spec renders its registered
 // artifacts in order, nothing fails, and the specs' simulated counts
-// add up to every simulation the memo ran.
+// add up to every simulation the memo ran during the pass (earlier
+// tests may have computed some of its keys already).
 func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry evaluation; skipped in the reduced-scale race run")
 	}
-	resetRunMemo()
-	t.Cleanup(resetRunMemo)
+	before := runMemo.computeCount()
 	results := Run(smallConfig(), func(string) bool { return true }, RunOptions{})
 	if len(results) != len(Specs()) {
 		t.Fatalf("assembled %d specs, want %d", len(results), len(Specs()))
@@ -75,7 +75,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		}
 		simulated += res.Simulated
 	}
-	if computes := runMemo.computeCount(); computes != simulated {
+	if computes := runMemo.computeCount() - before; computes != simulated {
 		t.Errorf("the memo ran %d simulations, the specs counted %d", computes, simulated)
 	}
 }
@@ -84,15 +84,14 @@ func TestRegistryRoundTrip(t *testing.T) {
 // once, so fig12 simulates less after fig11 than it does alone, and the
 // per-spec counts add up to the memo's computes.
 func TestExecutorCrossSpecDedup(t *testing.T) {
-	t.Cleanup(resetRunMemo)
 	cfg := smallConfig()
-	resetRunMemo()
+	isolateMemo(t)
 	alone := Run(cfg, func(e string) bool { return e == "fig12" }, RunOptions{})
 	if len(alone) != 1 || alone[0].Err != nil {
 		t.Fatalf("fig12 alone: %+v", alone)
 	}
 
-	resetRunMemo()
+	isolateMemo(t)
 	results := Run(cfg, func(e string) bool { return e == "fig11" || e == "fig12" }, RunOptions{})
 	if len(results) != 2 {
 		t.Fatalf("assembled %d specs, want fig11+fig12", len(results))

@@ -128,7 +128,9 @@ type Stats struct {
 
 	HITMLoads  uint64
 	HITMStores uint64
-	HITMByPC   map[mem.Addr]uint64 // ground truth, by true PC
+	// HITMByPC is the ground truth, by true PC. Snapshots carry it as
+	// State.HITMPCs instead, so the codec skips it.
+	HITMByPC map[mem.Addr]uint64 `codec:"-"`
 
 	Flushes      uint64
 	FlushAborts  uint64

@@ -17,23 +17,25 @@ import (
 
 // Config tunes the static analysis.
 type Config struct {
-	// MinStoreFlushRatio is the profitability bar of §5.3/§5.4: if the
-	// estimated dynamic ratio of SSB stores to flushes falls below it —
-	// e.g. a contending store wrapped in a small critical section — the
-	// repair is not attempted.
-	MinStoreFlushRatio float64
-	// LoopAmplification estimates how many iterations a loop body
-	// executes per flush placed at its exit.
-	LoopAmplification float64
 	// SpeculativeAliasing enables the §5.3 alias analysis that lets
 	// loads with provably-disjoint base registers skip the SSB, guarded
 	// by inserted alias checks.
 	SpeculativeAliasing bool
 }
 
+// MinStoreFlushRatio is the profitability bar of §5.3/§5.4: if the
+// estimated dynamic ratio of SSB stores to flushes falls below it — e.g.
+// a contending store wrapped in a small critical section — the repair
+// is not attempted.
+const MinStoreFlushRatio = 4
+
+// LoopAmplification estimates how many iterations a loop body executes
+// per flush placed at its exit.
+const LoopAmplification = 16
+
 // DefaultConfig returns the evaluation settings.
 func DefaultConfig() Config {
-	return Config{MinStoreFlushRatio: 4, LoopAmplification: 16, SpeculativeAliasing: true}
+	return Config{SpeculativeAliasing: true}
 }
 
 // Errors reported by Analyze when repair is refused.
@@ -256,9 +258,9 @@ func analyze(cfg Config, prog *isa.Program, pcs []mem.Addr, place flushPlacement
 	if fences > 0 {
 		plan.EstStoresPerFlush = float64(stores) / float64(fences)
 	} else {
-		plan.EstStoresPerFlush = float64(stores) * cfg.LoopAmplification
+		plan.EstStoresPerFlush = float64(stores) * LoopAmplification
 	}
-	if plan.EstStoresPerFlush < cfg.MinStoreFlushRatio {
+	if plan.EstStoresPerFlush < MinStoreFlushRatio {
 		return nil, fmt.Errorf("%w: estimated %.1f stores/flush",
 			ErrNotProfitable, plan.EstStoresPerFlush)
 	}

@@ -96,7 +96,7 @@ func TestAnalyzeProducesPlan(t *testing.T) {
 	if got := p.Instrs[plan.FlushBefore[0]].Line; got != 106 {
 		t.Errorf("flush placed at line %d, want 106 (loop exit)", got)
 	}
-	if plan.EstStoresPerFlush < DefaultConfig().MinStoreFlushRatio {
+	if plan.EstStoresPerFlush < MinStoreFlushRatio {
 		t.Errorf("profitability estimate %.1f below bar", plan.EstStoresPerFlush)
 	}
 	// One alias check per base register per block, not per load.

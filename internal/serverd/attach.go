@@ -87,9 +87,12 @@ func (c *CustomImage) Build() *workload.Image {
 
 // AttachOptions mirrors the laser functional-option surface over JSON.
 // Pointer fields distinguish "absent" from a zero value: only present
-// fields apply their option, and every value passes through the same
-// validation the corresponding laser.With... option performs — the
-// server rejects exactly what Attach would.
+// fields apply their option. No range is restated here: each value
+// becomes the laser.With... option that sets its laser.Config field,
+// and Attach checks the result with Config.Validate, so the server
+// rejects exactly what Attach would. The options are rebuilt from the
+// journaled request on recovery, and every field that can change a
+// result is in the configuration fingerprint the checkpoint pins.
 type AttachOptions struct {
 	Cores                *int     `json:"cores,omitempty"`
 	SAV                  *int     `json:"sav,omitempty"`
@@ -130,8 +133,7 @@ type AttachRequest struct {
 
 // Validate checks everything that can be checked without building: the
 // workload/custom choice, the variant, the scale, and custom image
-// bounds. Option values are validated when the options are materialized
-// (the same laser-side checks Attach runs).
+// bounds. Option values are checked by Attach (Config.Validate).
 func (r *AttachRequest) Validate() error {
 	if (r.Workload == "") == (r.Custom == nil) {
 		return errors.New("exactly one of workload and custom must be set")

@@ -166,9 +166,13 @@ type sessionStatus struct {
 
 // statusJSON snapshots the session's status.
 func (h *hosted) statusJSON() sessionStatus {
-	total, dropped := h.log.counts()
+	// The event count is read under h.mu, with the state: a runner
+	// appends events and turns the session terminal inside one step
+	// under h.mu, so a count read before the lock could be a step
+	// older than the state it is reported with.
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	total, dropped := h.log.counts()
 	st := h.sess.Stats()
 	return sessionStatus{
 		ID:            h.id,

@@ -45,8 +45,8 @@ func ExampleAttach_options() {
 	_, err = laser.Attach(img, laser.WithSAV(0))
 	fmt.Println(err)
 	// Output:
-	// laser: WithCores: core count must be positive, got -2
-	// laser: WithSAV: sample-after value must be positive, got 0
+	// laser: Cores (core count) must be in [1,64], got -2
+	// laser: PEBS.SAV (sample-after value) must be positive, got 0
 }
 
 // ExampleSession_Events streams typed events while the monitor works.

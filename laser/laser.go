@@ -14,11 +14,15 @@
 //	fmt.Print(res.Report.Render())
 //
 // Sessions are configured with functional options (WithCores,
-// WithRepair, WithPollInterval, WithSAV, WithMaxEpochs, ...), stream
-// typed events (Events, WithObserver), produce reports at any moment
-// mid-run (Snapshot, SnapshotAt), and run multiple detect→repair
-// epochs: after a rewrite, post-repair HITM records are remapped to
-// original-program PCs so detection re-arms instead of freezing.
+// WithRepair, WithPollInterval, WithSAV, WithMaxEpochs, ...), each of
+// which sets a field of Config, the one description of a session's
+// settings: Config.Validate is the only range check and
+// Config.Fingerprint covers every field that can change a result.
+// Sessions stream typed events (Events, WithObserver), produce reports
+// at any moment mid-run (Snapshot, SnapshotAt), and run multiple
+// detect→repair epochs: after a rewrite, post-repair HITM records are
+// remapped to original-program PCs so detection re-arms instead of
+// freezing.
 //
 // Attach (and RestoreSession, for a snapshot) is the one way to build a
 // session. The paper's one-shot system — a single detect→repair pass
@@ -30,6 +34,7 @@ package laser
 import (
 	"fmt"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/machine"
@@ -39,17 +44,28 @@ import (
 	"repro/internal/workload"
 )
 
-// Config assembles the component configurations. Options set its
-// fields one at a time; WithConfig passes a whole one in bulk.
+// Config is the one description of a session's settings: Attach
+// builds it from DefaultConfig and the options (each With* sets one
+// field), Validate is its only range check, and Fingerprint hashes it.
+// WithConfig passes a whole one in bulk.
 type Config struct {
-	Cores        int
-	PEBS         pebs.Config
-	Driver       driver.Config
+	Cores  int
+	PEBS   pebs.Config
+	Driver driver.Config
+	// Detector's SAV is derived: Attach copies PEBS.SAV into it, so the
+	// rates the detector reports always scale by the sampling in use.
 	Detector     core.Config
 	Repair       repair.Config
 	EnableRepair bool
+	// PostRepairMonitoring keeps feeding the detector once the last
+	// permitted repair is installed, with post-repair records remapped
+	// to original PCs. Off, the session freezes monitoring at the first
+	// repair, as the paper's one-shot exit report does; the evaluation
+	// harness runs that way.
+	PostRepairMonitoring bool
 	// PollInterval is the simulated-cycle slice between detector polls
-	// of the driver device (and repair-trigger checks).
+	// of the driver device (and repair-trigger checks). 0 asks Attach to
+	// derive it (see WithConfig).
 	PollInterval uint64
 	// MaxCycles caps the run (0 = effectively unbounded).
 	MaxCycles uint64
@@ -76,44 +92,46 @@ type Config struct {
 }
 
 // DefaultConfig matches the paper's evaluation setup: SAV 19, 1K HITMs/s
-// report threshold, online repair enabled.
+// report threshold, online repair enabled, and monitoring kept live
+// across repairs.
 func DefaultConfig() Config {
 	return Config{
-		Cores:        4,
-		PEBS:         pebs.DefaultConfig(),
-		Driver:       driver.DefaultConfig(),
-		Detector:     core.DefaultConfig(),
-		Repair:       repair.DefaultConfig(),
-		EnableRepair: true,
-		PollInterval: 2_000_000, // ~0.6 ms at 3.4 GHz
+		Cores:                4,
+		PEBS:                 pebs.DefaultConfig(),
+		Driver:               driver.DefaultConfig(),
+		Detector:             core.DefaultConfig(),
+		Repair:               repair.DefaultConfig(),
+		EnableRepair:         true,
+		PostRepairMonitoring: true,
+		PollInterval:         2_000_000, // ~0.6 ms at 3.4 GHz
 	}
 }
 
-// Validate reports the first invalid value in the configuration. It
-// never changes one: zero values are resolved by Attach before it runs
-// (MaxEpochs 0 becomes DefaultMaxEpochs, PollInterval 0 the default
+// Validate reports the first out-of-range value in the configuration;
+// it is the only range check a session's settings pass through. It
+// never changes a value: zero values are resolved by Attach before it
+// runs (MaxEpochs 0 becomes DefaultMaxEpochs, PollInterval 0 the default
 // cadence), so a zero Cores, PollInterval or PEBS.BufferCap reaching it
-// is an error.
+// is an error. Detector.SAV is not checked: Attach derives it from
+// PEBS.SAV.
 func (c Config) Validate() error {
 	switch {
-	case c.Cores < 1:
-		return fmt.Errorf("laser: Cores must be positive, got %d", c.Cores)
+	case c.Cores < 1 || c.Cores > coherence.MaxCores:
+		return fmt.Errorf("laser: Cores (core count) must be in [1,%d], got %d", coherence.MaxCores, c.Cores)
 	case c.IntraRunParallelism < 0:
-		return fmt.Errorf("laser: IntraRunParallelism must be non-negative, got %d", c.IntraRunParallelism)
+		return fmt.Errorf("laser: IntraRunParallelism (worker count) must be non-negative, got %d", c.IntraRunParallelism)
 	case c.MaxEpochs < 0:
-		return fmt.Errorf("laser: MaxEpochs must be non-negative, got %d", c.MaxEpochs)
+		return fmt.Errorf("laser: MaxEpochs (epoch budget) must be non-negative, got %d", c.MaxEpochs)
 	case c.PollInterval == 0:
 		return fmt.Errorf("laser: PollInterval must be positive")
 	case c.PEBS.SAV <= 0:
 		return fmt.Errorf("laser: PEBS.SAV (sample-after value) must be positive, got %d", c.PEBS.SAV)
 	case c.PEBS.BufferCap < 1:
 		return fmt.Errorf("laser: PEBS.BufferCap must be positive, got %d", c.PEBS.BufferCap)
-	case c.Detector.SAV <= 0:
-		return fmt.Errorf("laser: Detector.SAV must be positive, got %d", c.Detector.SAV)
-	case c.Detector.RateThreshold < 0:
-		return fmt.Errorf("laser: Detector.RateThreshold must be non-negative, got %g", c.Detector.RateThreshold)
-	case c.Detector.RepairRateThreshold < 0:
-		return fmt.Errorf("laser: Detector.RepairRateThreshold must be non-negative, got %g", c.Detector.RepairRateThreshold)
+	case !(c.Detector.RateThreshold >= 0):
+		return fmt.Errorf("laser: Detector.RateThreshold (report threshold) must be non-negative, got %g", c.Detector.RateThreshold)
+	case !(c.Detector.RepairRateThreshold > 0):
+		return fmt.Errorf("laser: Detector.RepairRateThreshold (repair threshold) must be positive, got %g", c.Detector.RepairRateThreshold)
 	}
 	return nil
 }

@@ -74,8 +74,7 @@ type EpochReport struct {
 // in-flight Run or Step — the driving goroutine observes ErrClosed at
 // its next step boundary, and both remain idempotent.
 type Session struct {
-	cfg                Config
-	monitorAfterRepair bool
+	cfg Config
 
 	// obsMu guards observers and stream: Events and Close/Detach may be
 	// called from goroutines other than the driving one.
@@ -148,10 +147,11 @@ func Attach(img *workload.Image, opts ...Option) (*Session, error) {
 
 // resolveSettings is the one way a session's configuration is built,
 // shared by Attach and RestoreSession: options apply over DefaultConfig,
-// MaxEpochs 0 takes DefaultMaxEpochs, the poll cadence is resolved, and
-// the result is validated.
+// the detector takes the PEBS sample-after value, MaxEpochs 0 takes
+// DefaultMaxEpochs, the poll cadence is resolved, and the result is
+// validated.
 func resolveSettings(opts []Option) (settings, error) {
-	st := settings{cfg: DefaultConfig(), monitorAfterRepair: true}
+	st := settings{cfg: DefaultConfig()}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -160,6 +160,7 @@ func resolveSettings(opts []Option) (settings, error) {
 			return settings{}, fmt.Errorf("laser: %w", err)
 		}
 	}
+	st.cfg.Detector.SAV = st.cfg.PEBS.SAV
 	if st.cfg.MaxEpochs == 0 {
 		st.cfg.MaxEpochs = DefaultMaxEpochs
 	}
@@ -236,16 +237,15 @@ func newSession(img *workload.Image, st settings) (*Session, error) {
 	ctl = repair.NewController(cfg.Repair, m)
 
 	return &Session{
-		cfg:                cfg,
-		monitorAfterRepair: st.monitorAfterRepair,
-		observers:          st.observers,
-		img:                img,
-		m:                  m,
-		drv:                drv,
-		pmu:                pmu,
-		pipe:               pipe,
-		ctl:                ctl,
-		next:               cfg.PollInterval,
+		cfg:       cfg,
+		observers: st.observers,
+		img:       img,
+		m:         m,
+		drv:       drv,
+		pmu:       pmu,
+		pipe:      pipe,
+		ctl:       ctl,
+		next:      cfg.PollInterval,
 	}, nil
 }
 
@@ -490,7 +490,7 @@ func (s *Session) Detach() error {
 // the exit report keeps the pre-repair contention (the paper's
 // detector does the same).
 func (s *Session) frozen() bool {
-	return s.repairApplied && !s.monitorAfterRepair
+	return s.repairApplied && !s.cfg.PostRepairMonitoring
 }
 
 // ingest drains the driver device and feeds the pipeline (unless
@@ -564,7 +564,7 @@ func (s *Session) maybeRepair() {
 	// the wrong program later. A one-shot session freezes monitoring
 	// at the repair instead — there the stragglers are dropped, exactly
 	// as the historical implementation did.
-	if s.monitorAfterRepair {
+	if s.cfg.PostRepairMonitoring {
 		s.pmu.Drain()
 		s.ingest()
 	}

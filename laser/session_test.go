@@ -254,6 +254,35 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsAndConfigShareRanges: an option that sets one Config field
+// and a WithConfig carrying the same value get the same answer, because
+// Config.Validate is the only range check either passes through.
+func TestOptionsAndConfigShareRanges(t *testing.T) {
+	w, _ := workload.Get("histogram'")
+	img := w.Build(workload.Options{Scale: 0.1})
+	for _, tc := range []struct {
+		name   string
+		opt    laser.Option
+		mutate func(*laser.Config)
+	}{
+		{"zero repair threshold", laser.WithRepairRateThreshold(0), func(c *laser.Config) { c.Detector.RepairRateThreshold = 0 }},
+		{"negative threshold", laser.WithRateThreshold(-3), func(c *laser.Config) { c.Detector.RateThreshold = -3 }},
+		{"negative cores", laser.WithCores(-1), func(c *laser.Config) { c.Cores = -1 }},
+		{"too many cores", laser.WithCores(65), func(c *laser.Config) { c.Cores = 65 }},
+		{"zero sav", laser.WithSAV(0), func(c *laser.Config) { c.PEBS.SAV = 0 }},
+		{"negative workers", laser.WithIntraRunParallelism(-1), func(c *laser.Config) { c.IntraRunParallelism = -1 }},
+		{"negative epochs", laser.WithMaxEpochs(-1), func(c *laser.Config) { c.MaxEpochs = -1 }},
+	} {
+		cfg := laser.DefaultConfig()
+		tc.mutate(&cfg)
+		_, optErr := laser.Attach(img, tc.opt)
+		_, cfgErr := laser.Attach(img, laser.WithConfig(cfg))
+		if optErr == nil || cfgErr == nil || optErr.Error() != cfgErr.Error() {
+			t.Errorf("%s: option error %v, WithConfig error %v; want one refusal", tc.name, optErr, cfgErr)
+		}
+	}
+}
+
 // TestConfigValidate: Validate rejects invalid values, zeros included,
 // and never changes the configuration it checks; DefaultConfig (whose
 // MaxEpochs 0 means DefaultMaxEpochs) is valid.

@@ -305,6 +305,12 @@ func TestRestoreSessionRefusals(t *testing.T) {
 		!strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("expected fingerprint refusal, got %v", err)
 	}
+	// Post-repair monitoring decides what the detector sees after a
+	// repair, so a restore that flips it is a different simulation.
+	if _, err := laser.RestoreSession(img, st, laser.WithSeed(3), laser.WithPostRepairMonitoring(false)); err == nil ||
+		!strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("expected fingerprint refusal for flipped post-repair monitoring, got %v", err)
+	}
 	// IntraRunParallelism is excluded from the fingerprint (it must not
 	// change results), but the engine's first-touch tables are not
 	// portable across engine kinds, so flipping serial<->parallel is

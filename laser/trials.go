@@ -289,8 +289,7 @@ func (s *Session) runCandidate(snap *SessionState, name string, prep *repair.Pre
 // fired: forks never repair, so never recurse into trials.
 func (s *Session) fork(st *SessionState) (*Session, error) {
 	log := new(trialLog)
-	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair,
-		observers: []func(Event){log.record}}
+	set := settings{cfg: s.cfg, observers: []func(Event){log.record}}
 	f, err := newSession(s.img, set)
 	if err != nil {
 		return nil, err
